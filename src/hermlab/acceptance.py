@@ -72,16 +72,20 @@ def crit_1_fbm_covariance(seed: int, fast: bool):
 
 
 def crit_2_hermite_variance(seed: int, fast: bool):
-    """Rosenblatt (q=2) d=1 H=0.7: Var Z(t) within 10% of t^1.4 at t=0.5, 1."""
-    n = 2000
+    """Rosenblatt (q=2) d=1 H=0.7: Var Z(t) within 10% of t^1.4 at t=0.5, 1.
+
+    Z(1) has excess kurtosis near 10, so the sample variance has relative
+    standard error about sqrt(11/n); n = 20000 puts the 10% gate at about
+    4.5 standard errors."""
+    n = 20000
     grid = GridSpec(0.0, 1.0, 512)
     spec = HermiteSpec(2, HurstMultiIndex(0.7))
     vals = np.empty((n, 2))
     for i in range(n):
         z = simulate_hermite_sheet(spec, grid, 2**14, derive_stream(seed, i))
         vals[i] = z.values[[256, 512]]
-    rel = [abs(vals[:, j].var() / (t ** 1.4) - 1.0) for j, t in enumerate((0.5, 1.0))]
-    ok = max(rel) <= 0.10
+    rel = [vals[:, j].var() / (t ** 1.4) - 1.0 for j, t in enumerate((0.5, 1.0))]
+    ok = max(abs(r) for r in rel) <= 0.10
     return ok, f"Var/t^1.4 - 1: t=0.5 -> {rel[0]:+.3f}, t=1 -> {rel[1]:+.3f} (gate 0.10)"
 
 
@@ -267,9 +271,11 @@ CRITERIA: list[tuple[int, str, Callable]] = [
 ]
 
 
-def run_all(seed: int = MASTER_SEED, fast: bool = False) -> bool:
-    """Run every criterion, print one pass/fail line each, return overall."""
-    seed = seed if seed else MASTER_SEED
+def run_all(seed: int | None = MASTER_SEED, fast: bool = False) -> bool:
+    """Run every criterion, print one pass/fail line each, return overall.
+    seed None runs MASTER_SEED; every other value, 0 included, is used as is."""
+    if seed is None:
+        seed = MASTER_SEED
     all_ok = True
     for num, name, fn in CRITERIA:
         t0 = time.perf_counter()

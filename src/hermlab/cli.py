@@ -54,7 +54,8 @@ def _hurst_list(text: str) -> tuple[float, ...]:
 
 
 def _manifest(args: argparse.Namespace, started: float) -> dict:
-    flags = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    flags = {k: v for k, v in sorted(vars(args).items())
+             if k != "func" and not k.startswith("_")}
     return {
         "command": args.command,
         "flags": {k: (list(v) if isinstance(v, tuple) else v) for k, v in flags.items()},
@@ -82,11 +83,13 @@ def _emit(payload: dict, args: argparse.Namespace, started: float) -> None:
         print(text)
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
+def _resolve_seed(args) -> int:
+    if args.seed is not None:
+        return int(args.seed)
     env = os.environ.get("HERMLAB_SEED")
-    return int(env) if env else 0
+    if env:
+        return int(env)
+    return acceptance.MASTER_SEED if args.command == "verify" else 0
 
 
 def _threads(args) -> int:
@@ -144,9 +147,8 @@ def _cmd_integral(args) -> dict:
         z = simulate_hermite_sheet(spec, grid, args.n_internal, stream)
         return float(np.sum(weights * np.diff(z.values)))
 
-    t0 = time.perf_counter()
     samples = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
-    rep = report_from_samples(samples, args.seed, time.perf_counter() - t0)
+    rep = report_from_samples(samples, args.seed)
     quad = inner_product_HH(f, f, hurst, QuadratureConfig(panels=args.panels))
     out = rep.as_dict()
     out.update({
@@ -227,9 +229,8 @@ def _cmd_heat(args) -> dict:
         def sampler(stream):
             return sample_mild_solution(spec, args.t, x, stream)
 
-        t0 = time.perf_counter()
         samples = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
-        rep = report_from_samples(samples, args.seed, time.perf_counter() - t0)
+        rep = report_from_samples(samples, args.seed)
         result.update({f"mc_{k}": v for k, v in rep.as_dict().items()})
         result["mc_over_quadrature"] = rep.variance / result["quadrature_covariance"]
     return result
@@ -250,9 +251,8 @@ def _cmd_ou(args) -> dict:
     def sampler(stream):
         return float(simulate(spec, grid, stream, args.n_internal).values[-1])
 
-    t0 = time.perf_counter()
     samples = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
-    rep = report_from_samples(samples, args.seed, time.perf_counter() - t0)
+    rep = report_from_samples(samples, args.seed)
     out = rep.as_dict()
     kind = "stationary" if args.stationary else "nonstationary"
     out["limit_covariance_half"] = ou_limit_covariance(
@@ -287,7 +287,9 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, out_default=None):
-        sp.add_argument("--seed", type=int, default=None, help="master seed (fallback: HERMLAB_SEED, then 0)")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="master seed (fallback: HERMLAB_SEED, then 0; for verify, "
+                             "then the acceptance MASTER_SEED)")
         sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--out", default=out_default)
 
@@ -382,7 +384,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    args.seed = _resolve_seed(getattr(args, "seed", None))
+    args.seed = _resolve_seed(args)
     started = time.time()
     try:
         payload = args.func(args)

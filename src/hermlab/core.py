@@ -379,25 +379,6 @@ def integrand_eval(f: Integrand, point) -> float:
     return float(f.eval(pts))
 
 
-def support_mesh(f: Integrand, panels) -> tuple[list[np.ndarray], np.ndarray, float]:
-    """Midpoint mesh over the support box: per-axis midpoints, |f| untouched.
-
-    Returns (per-axis midpoint arrays, evaluated f on the product mesh,
-    cell volume).
-    """
-    lo, hi = f.support()
-    if np.isscalar(panels):
-        panels = [int(panels)] * f.d
-    mids, widths = [], []
-    for a in range(f.d):
-        edges = np.linspace(lo[a], hi[a], panels[a] + 1)
-        mids.append(0.5 * (edges[:-1] + edges[1:]))
-        widths.append((hi[a] - lo[a]) / panels[a])
-    pts = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1)
-    vals = f.eval(pts)
-    return mids, vals, float(np.prod(widths))
-
-
 # ---------------------------------------------------------------------------
 # Rectangle increments
 # ---------------------------------------------------------------------------

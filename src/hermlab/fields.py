@@ -4,10 +4,13 @@ Wiener-Ito integral oracle.
 
 The production Hermite-sheet sampler uses the Hermite-rank construction:
 a long-range-dependent Gaussian array with per-axis transformed Hurst value
-H' = 1 + (H-1)/q is pushed through H_q pointwise and cumulatively summed.
-The base correlation is chosen so the transformed increments carry the exact
+H' = 1 + (H-1)/q is pushed through H_q pointwise, block-summed from the fine
+mesh into grid cells, and cumulatively summed over the grid.  The base
+correlation is chosen so the transformed increments carry the exact
 fractional-sheet covariance, making Var Z(node) = node^(2H) at every grid
-node in expectation.  Direct discretization of the chaos kernel is
+node in expectation.  Gaussian arrays come from circulant embedding driven
+by real white noise through rfftn/irfftn, which keeps the embedded
+covariance exact.  Direct discretization of the chaos kernel is
 O(cells^q) and lives only in the ChaosKernel oracle.
 """
 from __future__ import annotations
@@ -34,7 +37,9 @@ from .core import (
 
 _CACHE_LOCK = threading.Lock()
 _FFT_WORKERS = max(1, os.cpu_count() or 1)
-_EIG_CACHE: dict = {}
+_CACHE_SIZE = 8
+_EIG_CACHE: dict = {}  # (H, q, n) -> per-axis circulant eigenvalues
+_SQRT_EIG_CACHE: dict = {}  # sampler key -> half-spectrum sqrt eigenvalue tensor
 
 
 CHAOS_CELL_CAP = 2**21
@@ -50,12 +55,13 @@ def hermite_poly(q: int, x):
     if q < 0:
         raise DomainError("Hermite polynomial degree must be >= 0")
     x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
     if q == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
+        return np.ones_like(x) if x.ndim else 1.0
+    h_prev, h = 1.0, x
     for n in range(1, q):
         h, h_prev = x * h - n * h_prev, h
+    if h is x:
+        h = x.copy()
     return h if h.ndim else float(h)
 
 
@@ -77,62 +83,67 @@ def fgn_autocov(H: float, n: int) -> np.ndarray:
     return 0.5 * ((k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H) + np.abs(k - 1.0) ** (2 * H))
 
 
-def _circulant_eigs_from_cov(rho: np.ndarray, key) -> np.ndarray:
-    """Eigenvalues of the even circulant extension of an autocovariance
-    sequence rho at lags 0..n; negatives below -1e-10 relative are an error,
-    above are clamped to 0."""
+def _cached(cache: dict, key, compute):
+    """cache[key], computed on a miss; the oldest entry is evicted once the
+    cache holds _CACHE_SIZE entries, so a sweep over many (H, n) stays bounded."""
     with _CACHE_LOCK:
-        eig = _EIG_CACHE.get(key)
-    if eig is not None:
-        return eig
-    n = len(rho) - 1
-    c = np.concatenate([rho[:n], [rho[n]], rho[n - 1:0:-1]])
-    eig = np.fft.fft(c).real
-    floor = -1e-10 * eig.max()
-    if eig.min() < floor:
-        raise RuntimeError(
-            f"circulant embedding not nonnegative ({key}): "
-            f"min eigenvalue {eig.min():.3e}"
-        )
-    eig = np.maximum(eig, 0.0)
-    with _CACHE_LOCK:
-        _EIG_CACHE[key] = eig
-    return eig
-
-
-def _circulant_eigs(H: float, n: int) -> np.ndarray:
-    return _circulant_eigs_from_cov(fgn_autocov(H, n), (round(H, 12), n))
-
-
-_SQRT_EIG_CACHE: dict = {}
-
-
-def _sqrt_eig_tensor(eigs: Sequence[np.ndarray], key) -> np.ndarray:
-    with _CACHE_LOCK:
-        sq = _SQRT_EIG_CACHE.get(key)
-    if sq is None:
-        sq = np.sqrt(functools.reduce(np.multiply.outer, eigs))
+        value = cache.get(key)
+    if value is None:
+        value = compute()
         with _CACHE_LOCK:
-            if len(_SQRT_EIG_CACHE) > 8:
-                _SQRT_EIG_CACHE.clear()
-            _SQRT_EIG_CACHE[key] = sq
-    return sq
+            while len(cache) >= _CACHE_SIZE:
+                del cache[next(iter(cache))]
+            cache[key] = value
+    return value
+
+
+def _circulant_eigs(H: float, n: int, q: int = 1) -> np.ndarray:
+    """Eigenvalues of the even circulant extension (length 2n) of the
+    correlation rho_H(k)^(1/q) at lags 0..n; negatives below -1e-10 relative
+    are an error, above are clamped to 0."""
+
+    def compute():
+        rho = fgn_autocov(H, n) ** (1.0 / q)
+        c = np.concatenate([rho[:n], [rho[n]], rho[n - 1:0:-1]])
+        eig = np.fft.fft(c).real
+        if eig.min() < -1e-10 * eig.max():
+            raise RuntimeError(
+                f"circulant embedding not nonnegative (H={H}, q={q}, n={n}): "
+                f"min eigenvalue {eig.min():.3e}"
+            )
+        return np.maximum(eig, 0.0)
+
+    return _cached(_EIG_CACHE, (round(H, 12), q, n), compute)
+
+
+def _sqrt_eig_half(eigs: Sequence[np.ndarray], key) -> np.ndarray:
+    """Square root of the separable eigenvalue tensor, cut to the half
+    spectrum [..., :m//2+1] along the last axis that the real FFT pair uses."""
+    half = list(eigs[:-1]) + [eigs[-1][: len(eigs[-1]) // 2 + 1]]
+    return _cached(_SQRT_EIG_CACHE, key,
+                   lambda: np.sqrt(functools.reduce(np.multiply.outer, half)))
 
 
 def _stationary_unit_field(
-    eigs: Sequence[np.ndarray], stream: np.random.Generator, cache_key=None
+    eigs: Sequence[np.ndarray], stream: np.random.Generator, cache_key
 ) -> np.ndarray:
     """Unit-variance stationary Gaussian array with separable correlation
-    prod_a rho_a, sampled by d-dimensional circulant embedding."""
-    if cache_key is not None:
-        sq = _sqrt_eig_tensor(eigs, cache_key)
-    else:
-        sq = np.sqrt(functools.reduce(np.multiply.outer, eigs))
-    shape = sq.shape
-    z = stream.standard_normal(shape) + 1j * stream.standard_normal(shape)
-    x = sfft.ifftn(sq * z, workers=_FFT_WORKERS) * math.sqrt(np.prod(shape))
-    out = x.real[tuple(slice(0, m // 2) for m in shape)]
-    return np.ascontiguousarray(out)
+    prod_a rho_a, sampled by d-dimensional circulant embedding.
+
+    With C = F^-1 diag(lam) F the circulant covariance, x = C^(1/2) w for
+    real white noise w, and C^(1/2) = F^-1 diag(sqrt lam) F is real, so
+    Cov x = C exactly; the first half of each axis carries the target.
+    The inverse transform is irfftn taken one axis at a time, so the unused
+    second half of each leading axis is dropped before the next pass.
+    """
+    shape = tuple(len(e) for e in eigs)
+    x = sfft.rfftn(stream.standard_normal(shape), workers=_FFT_WORKERS)
+    x *= _sqrt_eig_half(eigs, cache_key)
+    for a, m in enumerate(shape[:-1]):
+        x = sfft.ifft(x, axis=a, workers=_FFT_WORKERS, overwrite_x=True)
+        x = x[(slice(None),) * a + (slice(0, m // 2),)]
+    x = sfft.irfft(x, n=shape[-1], axis=-1, workers=_FFT_WORKERS)
+    return x[..., : shape[-1] // 2]
 
 
 def _meta_seed(stream):
@@ -143,12 +154,19 @@ def _meta_seed(stream):
     return (ss.entropy, tuple(ss.spawn_key))
 
 
+def _block_sum(incr: np.ndarray, strides: Sequence[int]) -> np.ndarray:
+    """Sum each run of stride[a] consecutive cells along axis a into one cell."""
+    if all(st == 1 for st in strides):
+        return incr
+    shape = [v for n, st in zip(incr.shape, strides) for v in (n // st, st)]
+    return incr.reshape(shape).sum(axis=tuple(range(1, 2 * incr.ndim, 2)))
+
+
 def _padded_cumsum(incr: np.ndarray) -> np.ndarray:
-    out = incr
-    for a in range(incr.ndim):
-        out = np.cumsum(out, axis=a)
     padded = np.zeros(tuple(s + 1 for s in incr.shape))
-    padded[tuple(slice(1, None) for _ in range(incr.ndim))] = out
+    out = padded[tuple(slice(1, None) for _ in range(incr.ndim))]
+    for a in range(incr.ndim):
+        np.cumsum(incr if a == 0 else out, axis=a, out=out)
     return padded
 
 
@@ -170,7 +188,7 @@ def simulate_fractional_gaussian_sheet(
         if not 0.0 < h < 1.0:
             raise DomainError(f"Hurst exponent {h} not in (0, 1)")
     key = tuple((round(h, 12), n) for h, n in zip(Hs, grid.steps))
-    eigs = [_circulant_eigs(Hs[a], grid.steps[a]) for a in range(grid.d)]
+    eigs = [_circulant_eigs(h, n) for h, n in zip(Hs, grid.steps)]
     x = _stationary_unit_field(eigs, stream, cache_key=key)
     scale = float(np.prod([m**h for m, h in zip(grid.mesh, Hs)]))
     values = _padded_cumsum(x * scale)
@@ -213,18 +231,14 @@ def simulate_hermite_sheet(
     strides = [max(1, round(n_internal / s)) for s in grid.steps]
     N = [st * s for st, s in zip(strides, grid.steps)]
     key = tuple(("hr", round(h, 12), q, n) for h, n in zip(Hs, N))
-    eigs = [
-        _circulant_eigs_from_cov(fgn_autocov(h, n) ** (1.0 / q), k)
-        for (h, n), k in zip(zip(Hs, N), key)
-    ]
+    eigs = [_circulant_eigs(h, n, q) for h, n in zip(Hs, N)]
     xi = _stationary_unit_field(eigs, stream, cache_key=key)
     fine_mesh = [e / n for e, n in zip(grid.extents, N)]
     c = float(np.prod([m**h for m, h in zip(fine_mesh, Hs)])) / math.sqrt(math.factorial(q))
-    fine = _padded_cumsum(hermite_poly(q, xi)) * c
-    values = fine[tuple(slice(None, None, st) for st in strides)]
+    values = _padded_cumsum(_block_sum(hermite_poly(q, xi), strides) * c)
     meta = FieldMeta(spec=spec, seed=_meta_seed(stream), method="hermite_rank",
                      internal=max(N))
-    return RandomField(grid=grid, values=np.ascontiguousarray(values), meta=meta)
+    return RandomField(grid=grid, values=values, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ aggregation is a fixed pairwise reduction over that array.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -28,7 +27,6 @@ class MCReport:
     stderr_mean: float
     stderr_variance: float
     seed: int
-    elapsed: float
 
     def __post_init__(self):
         if self.variance < 0 or self.stderr_mean < 0 or self.stderr_variance < 0:
@@ -42,7 +40,6 @@ class MCReport:
             "stderr_mean": self.stderr_mean,
             "stderr_variance": self.stderr_variance,
             "seed": self.seed,
-            "elapsed": self.elapsed,
         }
 
 
@@ -73,7 +70,7 @@ def collect_samples(
     return out
 
 
-def report_from_samples(samples: np.ndarray, seed: int, elapsed: float = 0.0) -> MCReport:
+def report_from_samples(samples: np.ndarray, seed: int) -> MCReport:
     n = samples.size
     if n < 2:
         raise DomainError("mc report needs n >= 2")
@@ -90,7 +87,6 @@ def report_from_samples(samples: np.ndarray, seed: int, elapsed: float = 0.0) ->
         stderr_mean=math.sqrt(variance / n),
         stderr_variance=math.sqrt(var_of_var),
         seed=int(seed),
-        elapsed=elapsed,
     )
 
 
@@ -104,9 +100,7 @@ def mc_report(
     aggregation; stderr_mean = sqrt(var/n)."""
     if n < 2:
         raise DomainError("mc report needs n >= 2")
-    t0 = time.perf_counter()
-    samples = collect_samples(sampler, n, master_seed, threads)
-    return report_from_samples(samples, master_seed, time.perf_counter() - t0)
+    return report_from_samples(collect_samples(sampler, n, master_seed, threads), master_seed)
 
 
 def excess_kurtosis(samples: np.ndarray) -> float:

@@ -29,3 +29,16 @@ def test_acceptance_criterion(num, name, fn, capsys):
     assert ok, f"criterion {num} ({name}): {detail}"
     if not FAST:
         assert elapsed <= BUDGETS[num], f"criterion {num} exceeded its {BUDGETS[num]}s budget"
+
+
+@pytest.mark.parametrize("given,expected", [(0, 0), (7, 7), (None, acceptance.MASTER_SEED)])
+def test_run_all_uses_the_given_seed(given, expected, monkeypatch, capsys):
+    seen = []
+
+    def stub(seed, fast):
+        seen.append(seed)
+        return True, "stub"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "stub", stub)])
+    assert acceptance.run_all(seed=given) is True
+    assert seen == [expected]

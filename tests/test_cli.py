@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from hermlab import acceptance
 from hermlab.cli import main
 
 
@@ -68,6 +69,18 @@ class TestSimulate:
         assert first_val == 0.0
         assert os.path.exists(str(out_csv) + ".manifest.json")
 
+    def test_sidecar_manifest_has_only_user_flags(self, tmp_path, capsys):
+        out_csv = tmp_path / "p.csv"
+        code, _, _ = run(
+            capsys, "simulate", "--q", "2", "--hurst", "0.7", "--grid", "16",
+            "--seed", "3", "--n-internal", "64", "--out", str(out_csv),
+        )
+        assert code == 0
+        with open(str(out_csv) + ".manifest.json") as fh:
+            flags = json.load(fh)["manifest"]["flags"]
+        assert flags["out"] == str(out_csv)
+        assert not [k for k in flags if k.startswith("_")]
+
 
 class TestOU:
     def test_limit_cov_value(self, capsys):
@@ -129,6 +142,44 @@ class TestContract:
             for key in ("started", "finished"):
                 p["manifest"].pop(key)
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
+
+    @pytest.mark.parametrize("argv", [
+        ["integral", "--hurst", "0.7", "--reps", "40", "--grid", "64",
+         "--n-internal", "1024", "--panels", "64"],
+        ["ou", "--hurst", "0.7", "--reps", "40", "--grid", "64", "--n-internal", "1024"],
+    ], ids=["integral", "ou"])
+    def test_mc_payloads_byte_identical_and_thread_independent(self, capsys, argv):
+        payloads = []
+        for threads in ("1", "1", "2"):
+            code, out, _ = run(capsys, *argv, "--seed", "5", "--threads", threads)
+            assert code == 0
+            p = load_json(out)
+            for key in ("started", "finished"):
+                p["manifest"].pop(key)
+            payloads.append(p)
+        flags = payloads[2]["manifest"]["flags"]
+        assert flags["threads"] == 2
+        flags["threads"] = 1  # the only difference the thread count may make
+        texts = [json.dumps(p, sort_keys=True) for p in payloads]
+        assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["verify", "--seed", "0"], 0),
+        (["verify"], acceptance.MASTER_SEED),
+    ])
+    def test_verify_seed(self, capsys, monkeypatch, argv, expected):
+        seen = []
+
+        def stub(seed, fast):
+            seen.append(seed)
+            return True, "stub"
+
+        monkeypatch.delenv("HERMLAB_SEED", raising=False)
+        monkeypatch.setattr(acceptance, "CRITERIA", [(1, "stub", stub)])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert seen == [expected]
+        assert load_json(out.split("\n", 1)[1])["manifest"]["seed"] == expected
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("HERMLAB_SEED", "777")

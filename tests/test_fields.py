@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
+import scipy.linalg
 
+from hermlab import fields
 from hermlab.core import (
     DomainError,
     GridSpec,
@@ -225,3 +228,66 @@ class TestCirculant:
         left = rectangle_increment(f, (0, 0), (4, 8))
         right = rectangle_increment(f, (4, 0), (8, 8))
         assert whole == pytest.approx(left + right, abs=1e-10)
+
+    @pytest.mark.parametrize("shape,hursts", [((32,), (0.7,)), ((8, 4), (0.7, 0.6))])
+    def test_real_noise_embedding_covariance_is_exact(self, shape, hursts, monkeypatch):
+        # the sampler is linear in its white noise w, so its covariance is A A^T
+        # with column j the output for the unit vector e_j
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+        q = 2
+        eigs = [fields._circulant_eigs(h, n, q) for h, n in zip(hursts, shape)]
+        m = [2 * n for n in shape]
+
+        class Unit:
+            def __init__(self, j):
+                self.j = j
+
+            def standard_normal(self, size):
+                e = np.zeros(size)
+                e.reshape(-1)[self.j] = 1.0
+                return e
+
+        A = np.stack([
+            fields._stationary_unit_field(eigs, Unit(j), ("test", shape)).reshape(-1)
+            for j in range(int(np.prod(m)))
+        ], axis=1)
+        target = np.ones((1, 1))
+        for h, n in zip(hursts, shape):
+            target = np.kron(target, scipy.linalg.toeplitz(fgn_autocov(h, n)[:n] ** (1.0 / q)))
+        assert np.abs(A @ A.T - target).max() < 1e-12
+
+    def test_axis_by_axis_inverse_matches_irfftn(self, monkeypatch):
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+        shape = (16, 12, 8)
+        eigs = [fields._circulant_eigs(0.7, m // 2, 2) for m in shape]
+        w = derive_stream(SEED, 12).standard_normal(shape)
+        sq = np.sqrt(np.multiply.outer(np.multiply.outer(eigs[0], eigs[1]), eigs[2][:5]))
+        ref = sfft.irfftn(sq * sfft.rfftn(w), s=shape)[:8, :6, :4]
+        got = fields._stationary_unit_field(eigs, derive_stream(SEED, 12), ("test", shape))
+        assert np.allclose(got, ref, rtol=0, atol=1e-13)
+
+    def test_block_sum_matches_fine_cumsum_at_grid_nodes(self):
+        rng = np.random.default_rng(5)
+        incr = rng.standard_normal((12, 8))
+        strides = (3, 2)
+        fine = fields._padded_cumsum(incr)[::3, ::2]
+        coarse = fields._padded_cumsum(fields._block_sum(incr, strides))
+        assert coarse.shape == (5, 5)
+        assert np.allclose(coarse, fine, rtol=0, atol=1e-13)
+        assert fields._block_sum(incr, (1, 1)) is incr
+
+    def test_eigenvalue_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(fields, "_EIG_CACHE", {})
+        for n in range(64, 64 + 3 * fields._CACHE_SIZE):
+            fields._circulant_eigs(0.7, n, 2)
+        assert len(fields._EIG_CACHE) == fields._CACHE_SIZE
+        assert (round(0.7, 12), 2, 64 + 3 * fields._CACHE_SIZE - 1) in fields._EIG_CACHE
+
+    def test_cached_eigenvalues_skip_the_autocovariance(self, monkeypatch):
+        fields._circulant_eigs(0.65, 100, 2)
+
+        def fail(*args):
+            raise AssertionError("autocovariance recomputed on a cache hit")
+
+        monkeypatch.setattr(fields, "fgn_autocov", fail)
+        fields._circulant_eigs(0.65, 100, 2)
