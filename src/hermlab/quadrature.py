@@ -5,6 +5,12 @@ The weight |u-v|^(2H-2) is integrated exactly over each panel pair through its
 double antiderivative |w|^(2H)/(2H(2H-1)); integrand values are sampled at
 panel midpoints.  This removes the diagonal singularity without adaptive
 machinery and makes indicator integrands exact for any panel count.
+
+When both edge arrays are equally spaced with one step h, the mass of a panel
+pair depends only on its lag i-j: the antiderivative is evaluated once at the
+n_u+n_v+1 lag positions and the matrix is the Toeplitz expansion of their
+second differences.  Edges with unequal steps take the four-corner formula,
+four antiderivative evaluations per panel pair.
 """
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn
 
 from .core import (
@@ -38,13 +45,10 @@ class QuadratureConfig:
 
     panels: int = 256
     mode: str = "exact_cell"
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.panels < 8:
             raise DomainError("quadrature needs at least 8 panels per axis")
-        if self.tol <= 0:
-            raise DomainError("tolerance must be positive")
         if self.mode not in ("exact_cell", "midpoint"):
             raise DomainError(f"unknown diagonal mode {self.mode!r}")
 
@@ -61,12 +65,29 @@ def abs_pow_cell_masses(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> n
 
     Uses the double antiderivative Psi(w) = |w|^(c+2) / ((c+1)(c+2)):
     the mass of cell pair [a,b] x [p,q] is Psi(b-p)+Psi(a-q)-Psi(b-q)-Psi(a-p).
+    When both edge arrays are equally spaced with one step (to within a few
+    ulps, as np.linspace leaves them), the pair (i, j) has the mass
+    P[L+1]+P[L-1]-P[L]-P[L] with L = i-j, where P[k] is Psi at the lag
+    u_k - v_0 (k >= 0) or u_0 - v_{-k} (k < 0).  Psi is then evaluated at
+    n_u+n_v+1 lags and the masses form a Toeplitz matrix; the sum runs in the
+    four-corner order, so uniform dyadic edges give bit-identical masses.
     """
     if c <= -1.0:
         raise DomainError(f"exponent {c} not integrable across the diagonal")
 
     def psi(w):
         return np.abs(w) ** (c + 2.0) / ((c + 1.0) * (c + 2.0))
+
+    nu, nv = len(edges_u) - 1, len(edges_v) - 1
+    h = (edges_u[-1] - edges_u[0]) / nu
+    if all(
+        np.max(np.abs(e - (e[0] + h * np.arange(len(e)))))
+        <= 4.0 * np.finfo(float).eps * np.max(np.abs(e))
+        for e in (edges_u, edges_v)
+    ):
+        p = psi(np.concatenate((edges_u[0] - edges_v[:0:-1], edges_u - edges_v[0])))
+        lag = p[2:] + p[:-2] - p[1:-1] - p[1:-1]  # lag[s] is the mass at L = s-nv+1
+        return toeplitz(lag[nv - 1:], lag[nv - 1::-1])
 
     au, bu = edges_u[:-1, None], edges_u[1:, None]
     av, bv = edges_v[None, :-1], edges_v[None, 1:]
@@ -174,15 +195,14 @@ def hbar_norm(
 
     edges = _panel_edges(f, cfg.panels)
     widths = [float(e[1] - e[0]) for e in edges]
+    Fa = np.abs(_midpoint_values(f, edges))
     total = 0.0
     if k == d:
-        _, vals, vol = _support_abs_mesh(f, edges)
-        total += float(np.sum(vals)) * vol
+        total += float(np.sum(Fa)) * float(np.prod(widths))
 
     for j in range(1, min(k, d - 1) + 1):
         outer = sorted(a_axes[:j])
         inner = [a for a in range(d) if a not in outer]
-        Fa = np.abs(_midpoint_values(f, edges))
         # outer axes to the front, then flatten them
         Fm = np.moveaxis(Fa, outer, range(j))
         m = int(np.prod(Fm.shape[:j]))
@@ -196,12 +216,6 @@ def hbar_norm(
         outer_vol = float(np.prod([widths[a] for a in outer]))
         total += float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0)))) * outer_vol
     return total
-
-
-def _support_abs_mesh(f, edges):
-    vals = np.abs(_midpoint_values(f, edges))
-    vol = float(np.prod([e[1] - e[0] for e in edges]))
-    return edges, vals, vol
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -62,9 +63,17 @@ class ExistenceReport(NamedTuple):
 
 
 def existence_condition(h0: float, H, d: int) -> ExistenceReport:
-    """A unique mild solution exists iff d < 4 H0 + sum_i (2 H_i - 1)."""
+    """A unique mild solution exists iff d < 4 H0 + sum_i (2 H_i - 1).
+
+    The sum is taken in exact rationals from each float's shortest decimal,
+    so a boundary such as 4*0.66 + 3*(2*0.56 - 1) = 3 rejects d = 3 instead of
+    being decided by float rounding."""
     Hs = H.values if isinstance(H, HurstMultiIndex) else tuple(np.atleast_1d(H))
-    gamma_cond = 4.0 * h0 + sum(2.0 * h - 1.0 for h in Hs)
+
+    def exact(x):
+        return Fraction(repr(float(x)))
+
+    gamma_cond = 4 * exact(h0) + sum(2 * exact(h) - 1 for h in Hs)
     return ExistenceReport(bool(d < gamma_cond), float(gamma_cond))
 
 

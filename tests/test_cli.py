@@ -147,7 +147,9 @@ class TestContract:
         ["integral", "--hurst", "0.7", "--reps", "40", "--grid", "64",
          "--n-internal", "1024", "--panels", "64"],
         ["ou", "--hurst", "0.7", "--reps", "40", "--grid", "64", "--n-internal", "1024"],
-    ], ids=["integral", "ou"])
+        ["sweep", "--target", "half", "--hurst-grid", "0.75,0.55", "--reps", "40", "--grid", "64",
+         "--n-internal", "1024", "--panels", "64"],
+    ], ids=["integral", "ou", "sweep"])
     def test_mc_payloads_byte_identical_and_thread_independent(self, capsys, argv):
         payloads = []
         for threads in ("1", "1", "2"):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from hermlab.core import (
     DomainError,
@@ -12,8 +13,10 @@ from hermlab.core import (
     Tabulated,
     UnsupportedError,
 )
+from hermlab import quadrature
 from hermlab.quadrature import (
     QuadratureConfig,
+    abs_pow_cell_masses,
     contraction_norm_sq,
     effective_exponents,
     fbm_time_kernel_integral,
@@ -90,6 +93,71 @@ class TestInnerProduct:
             inner_product_HH(UNIT, UNIT, 0.5, CFG)
         with pytest.raises(DomainError):
             inner_product_HH(UNIT, UNIT, 1.0, CFG)
+
+
+def four_corner_masses(edges_u, edges_v, c):
+    """Reference: four antiderivative evaluations per panel pair."""
+    def psi(w):
+        return np.abs(w) ** (c + 2.0) / ((c + 1.0) * (c + 2.0))
+
+    au, bu = edges_u[:-1, None], edges_u[1:, None]
+    av, bv = edges_v[None, :-1], edges_v[None, 1:]
+    return psi(bu - av) + psi(au - bv) - psi(bu - bv) - psi(au - av)
+
+
+class TestToeplitzKernel:
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("H", [0.51, 0.75])
+    def test_bit_identical_on_unit_interval(self, n, H):
+        e = np.linspace(0, 1, n + 1)
+        c = 2 * H - 2
+        assert np.array_equal(abs_pow_cell_masses(e, e, c), four_corner_masses(e, e, c))
+
+    def test_equal_steps_with_offset(self):
+        eu, ev = np.linspace(0, 1, 129), np.linspace(0.5, 1.5, 129)
+        assert np.array_equal(abs_pow_cell_masses(eu, ev, -0.6), four_corner_masses(eu, ev, -0.6))
+
+    def test_unequal_steps_take_four_corner_path(self, monkeypatch):
+        eu, ev = np.linspace(0, 1, 129), np.linspace(0, 0.5, 129)
+        calls = []
+        monkeypatch.setattr(quadrature, "toeplitz", lambda *a: calls.append(a))
+        assert np.array_equal(abs_pow_cell_masses(eu, ev, -0.6), four_corner_masses(eu, ev, -0.6))
+        assert calls == []
+        # the covariance test case runs through this path
+        v = inner_product_HH(IndicatorBox(0, 1), IndicatorBox(0, 0.5), 0.7, CFG)
+        assert v == pytest.approx(0.5 * (1 + 0.5**1.4 - 0.5**1.4), rel=1e-9)
+        assert calls == []
+
+    # the last edge of linspace(0.2, 0.9, n+1) is one rounding off the step grid
+    @pytest.mark.parametrize("lo,hi", [(0.0, 0.7), (0.3, 1.1), (0.2, 0.9)])
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("mode", ["exact_cell", "midpoint"])
+    def test_values_match_four_corner_off_dyadic(self, monkeypatch, lo, hi, n, mode):
+        cfg = QuadratureConfig(panels=n, mode=mode)
+        cases = [(IndicatorBox(lo, hi), H) for H in (0.51, 0.75)]
+        cases += [(ExpWindow(1.0, hi, lo), H) for H in (0.51, 0.75)]
+        if n == 100:
+            cases.append((IndicatorBox([lo, lo], [hi, hi]), (0.6, 0.8)))
+        calls = []
+        monkeypatch.setattr(quadrature, "toeplitz", lambda *a: calls.append(a) or toeplitz(*a))
+        vals = [inner_product_HH(f, f, H, cfg) for f, H in cases]
+        assert len(calls) == sum(f.d for f, _ in cases)  # linspace edges take the lag path
+        monkeypatch.setattr(quadrature, "abs_pow_cell_masses", four_corner_masses)
+        refs = [inner_product_HH(f, f, H, cfg) for f, H in cases]
+        # One lag's mass is shared by up to n panel pairs, so its rounding is
+        # repeated, not averaged: over the 2n lags the gap grows like n^1.5 eps.
+        tol = n**1.5 * np.finfo(float).eps
+        for v, r in zip(vals, refs):
+            assert abs(v - r) <= tol * abs(r)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 0.7), (0.3, 1.1)])
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_indicator_exact_off_dyadic(self, lo, hi, n):
+        f = IndicatorBox(lo, hi)
+        for H in (0.51, 0.75):
+            target = (hi - lo) ** (2 * H)
+            v = inner_product_HH(f, f, H, QuadratureConfig(panels=n))
+            assert abs(v - target) <= 1e-11 * target
 
 
 class TestHbarNorm:

@@ -56,6 +56,13 @@ class TestExistence:
         with pytest.raises(DomainError):
             HeatSpec(2, 0.6, (0.6, 0.6, 0.6))
 
+    def test_boundary_decided_exactly(self):
+        # 4*0.66 + 3*(2*0.56 - 1) = 3 exactly; float summation gives 3.0000000000000004
+        ok, g = existence_condition(0.66, (0.56,) * 3, 3)
+        assert not ok and g == 3.0
+        with pytest.raises(DomainError):
+            HeatSpec(2, 0.66, (0.56,) * 3)
+
 
 class TestCovarianceQuadrature:
     def test_zero_time(self):
