@@ -26,27 +26,24 @@ from .core import (
     derive_stream,
 )
 from .fields import ChaosKernel, chaos_oracle_sample, simulate_fractional_gaussian_sheet, simulate_hermite_sheet
-from .integrals import riemann_weights
+from .integrals import WienerFunctional
 from .ou import OUSpec, simulate_hou
 from .powercount import check_integrability, cycle_system, d0, d_infinity
 from .quadrature import QuadratureConfig, inner_product_HH, sigma_limit
 from .spde import HeatSpec, existence_condition, heat_covariance_quadrature, sample_mild_solution
-from .stats import excess_kurtosis, ks_distance, target_cdf_hermite_limit
+from .stats import collect_samples, excess_kurtosis, ks_distance, target_cdf_hermite_limit
 
 MASTER_SEED = 20260810
 
 
 def _wiener_samples(q, H, n, seed, grid_steps=512, n_internal=2**14, lam=1.0, t=1.0, salt=0):
     """MC samples of int exp_window dZ^q_H via the Riemann-Stieltjes sum."""
-    f = ExpWindow(lam, t)
     grid = GridSpec(0.0, t, grid_steps)
-    weights = riemann_weights(f, grid)
+    functional = WienerFunctional(ExpWindow(lam, t), grid)
     spec = HermiteSpec(q, HurstMultiIndex(H))
-    out = np.empty(n)
-    for i in range(n):
-        z = simulate_hermite_sheet(spec, grid, n_internal, derive_stream(seed + salt, i))
-        out[i] = np.sum(weights * np.diff(z.values))
-    return out
+    return collect_samples(
+        lambda s: functional(simulate_hermite_sheet(spec, grid, n_internal, s)), n, seed + salt
+    )
 
 
 def crit_1_fbm_covariance(seed: int, fast: bool):
@@ -126,18 +123,15 @@ def crit_5_ou_one_limit(seed: int, fast: bool):
     target = (1.0 - math.exp(-1.0)) ** 2
     grid = GridSpec(0.0, 1.0, 512)
     spec99 = OUSpec(lam=1.0, sigma=1.0, q=2, H=0.99)
-    y99 = np.empty(n_var)
-    for i in range(n_var):
-        y99[i] = simulate_hou(spec99, grid, derive_stream(seed, i), 2**14).values[-1]
+    y99 = collect_samples(lambda s: simulate_hou(spec99, grid, s, 2**14).values[-1], n_var, seed)
     rel = y99.var() / target - 1.0
     cdf = target_cdf_hermite_limit(2)
     scale = 1.0 - math.exp(-1.0)
     ks = []
     for j, h in enumerate((0.9, 0.95, 0.99)):
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=h)
-        ys = np.empty(n_ks)
-        for i in range(n_ks):
-            ys[i] = simulate_hou(spec, grid, derive_stream(seed + 1 + j, i), 2**13).values[-1]
+        ys = collect_samples(lambda s: simulate_hou(spec, grid, s, 2**13).values[-1],
+                             n_ks, seed + 1 + j)
         ks.append(ks_distance(ys / scale, cdf))
     decreasing = ks[0] > ks[1] > ks[2]
     ok = abs(rel) <= 0.05 and decreasing
@@ -156,9 +150,7 @@ def crit_6_heat_white_noise(seed: int, fast: bool):
     rel_q = abs(q51 - limit) / limit
     spec = HeatSpec(2, 0.55, (0.55,), trunc=4.0, t_steps=512, x_steps=512, n_internal=512)
     quad = heat_covariance_quadrature(spec, 1.0, 1.0)
-    us = np.empty(n)
-    for i in range(n):
-        us[i] = sample_mild_solution(spec, 1.0, 0.0, derive_stream(seed, i))
+    us = collect_samples(lambda s: sample_mild_solution(spec, 1.0, 0.0, s), n, seed)
     rel_mc = us.var() / quad - 1.0
     ok = rel_q <= 0.05 and abs(rel_mc) <= 0.15
     return ok, (
@@ -221,9 +213,7 @@ def crit_9_chaos_oracle(seed: int, fast: bool):
     ]
     details, ok = [], True
     for j, K in enumerate(kernels):
-        samp = np.empty(n)
-        for i in range(n):
-            samp[i] = chaos_oracle_sample(K, derive_stream(seed + j, i))
+        samp = collect_samples(lambda s: chaos_oracle_sample(K, s), n, seed + j)
         target = 2.0 * K.offdiag_norm_sq()
         xc = samp - samp.mean()
         se = math.sqrt(max(np.mean(xc**4) - np.mean(xc**2) ** 2, 0.0) / n)

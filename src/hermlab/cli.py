@@ -32,11 +32,17 @@ from .core import (
 )
 from . import acceptance
 from .fields import simulate_fractional_gaussian_sheet, simulate_hermite_sheet
-from .integrals import riemann_weights
-from .ou import OUSpec, ou_limit_covariance, simulate_hou, simulate_stationary_hou
+from .integrals import WienerFunctional
+from .ou import OUSpec, ou_limit_covariance, simulate_hou
 from .powercount import check_integrability, system_from_dict
 from .quadrature import QuadratureConfig, inner_product_HH, sigma_limit
-from .spde import HeatSpec, heat_covariance_quadrature, heat_limit_covariance
+from .spde import (
+    HeatSpec,
+    existence_condition,
+    heat_covariance_quadrature,
+    heat_limit_covariance,
+    sample_mild_solution,
+)
 from .stats import collect_samples, ks_distance, report_from_samples, target_cdf_hermite_limit
 
 
@@ -141,11 +147,10 @@ def _cmd_integral(args) -> dict:
     f = _make_integrand(args)
     spec = HermiteSpec(args.q, HurstMultiIndex(hurst))
     grid = GridSpec(0.0, args.t, args.grid)
-    weights = riemann_weights(f, grid)
+    functional = WienerFunctional(f, grid)
 
     def sampler(stream):
-        z = simulate_hermite_sheet(spec, grid, args.n_internal, stream)
-        return float(np.sum(weights * np.diff(z.values)))
+        return functional(simulate_hermite_sheet(spec, grid, args.n_internal, stream))
 
     samples = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
     rep = report_from_samples(samples, args.seed)
@@ -162,7 +167,7 @@ def _cmd_sweep(args) -> dict:
     hurst_grid = _hurst_list(args.hurst_grid)
     f = _make_integrand(args)
     spec_grid = GridSpec(0.0, args.t, args.grid)
-    weights = riemann_weights(f, spec_grid)
+    functional = WienerFunctional(f, spec_grid)
     quad_vals = [
         inner_product_HH(f, f, h, QuadratureConfig(panels=args.panels)) for h in hurst_grid
     ]
@@ -180,7 +185,7 @@ def _cmd_sweep(args) -> dict:
         )
     else:
         # H -> 1 limit variance is (int f)^2
-        f_int = float(np.sum(weights) * spec_grid.mesh[0])
+        f_int = float(np.sum(functional.weights) * spec_grid.mesh[0])
         result["limit_variance"] = f_int**2
     if args.reps:
         mc_vars, ks_vals = [], []
@@ -189,13 +194,12 @@ def _cmd_sweep(args) -> dict:
             spec = HermiteSpec(args.q, HurstMultiIndex(float(h)))
 
             def sampler(stream, spec=spec):
-                z = simulate_hermite_sheet(spec, spec_grid, args.n_internal, stream)
-                return float(np.sum(weights * np.diff(z.values)))
+                field = simulate_hermite_sheet(spec, spec_grid, args.n_internal, stream)
+                return functional(field)
 
             samples = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
             mc_vars.append(float(np.var(samples)))
             if args.target == "one":
-                f_int = float(np.sum(weights) * spec_grid.mesh[0])
                 ks_vals.append(ks_distance(samples / f_int, cdf))
         result["mc_variances"] = mc_vars
         if ks_vals:
@@ -214,7 +218,7 @@ def _cmd_heat(args) -> dict:
         n_internal=args.n_internal,
     )
     result: dict = {
-        "gamma_cond": 4 * args.h0 + sum(2 * h - 1 for h in hurst),
+        "gamma_cond": existence_condition(spec.h0, spec.h, spec.d).gamma_cond,
         "quadrature_covariance": heat_covariance_quadrature(spec, args.t, args.s),
     }
     d = len(hurst)
@@ -222,8 +226,6 @@ def _cmd_heat(args) -> dict:
     if d == 1:
         result["white_noise_limit"] = heat_limit_covariance(scenario, None, args.t, args.s)
     if args.reps:
-        from .spde import sample_mild_solution
-
         x = tuple([0.0] * d)
 
         def sampler(stream):
@@ -246,10 +248,9 @@ def _cmd_ou(args) -> dict:
         M=args.horizon,
     )
     grid = GridSpec(0.0, args.t_max, args.grid)
-    simulate = simulate_stationary_hou if args.stationary else simulate_hou
 
     def sampler(stream):
-        return float(simulate(spec, grid, stream, args.n_internal).values[-1])
+        return float(simulate_hou(spec, grid, stream, args.n_internal).values[-1])
 
     samples = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
     rep = report_from_samples(samples, args.seed)

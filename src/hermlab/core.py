@@ -379,6 +379,13 @@ def integrand_eval(f: Integrand, point) -> float:
     return float(f.eval(pts))
 
 
+def midpoint_mesh(edges: Sequence[np.ndarray]) -> np.ndarray:
+    """Cell midpoints of the product of per-axis edge arrays, shape
+    (n_0, ..., n_{d-1}, d) in "ij" order, ready for Integrand.eval."""
+    mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
+    return np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Rectangle increments
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .core import (
     HurstMultiIndex,
     RandomField,
     ResourceError,
+    midpoint_mesh,
 )
 
 _CACHE_LOCK = threading.Lock()
@@ -268,10 +269,7 @@ class ChaosKernel:
     @classmethod
     def from_function(cls, q: int, grid: GridSpec, func) -> "ChaosKernel":
         """Tabulate func(y_1, ..., y_q), each y_i in R^d, at cell midpoints."""
-        mids = np.stack(
-            np.meshgrid(*[grid.axis_mids(a) for a in range(grid.d)], indexing="ij"),
-            axis=-1,
-        ).reshape(-1, grid.d)
+        mids = midpoint_mesh([grid.axis_nodes(a) for a in range(grid.d)]).reshape(-1, grid.d)
         m = mids.shape[0]
         if m**q > CHAOS_CELL_CAP:
             raise ResourceError(f"{m}^{q} kernel nodes exceed the oracle cap")

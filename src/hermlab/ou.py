@@ -1,6 +1,7 @@
-"""Hermite Ornstein-Uhlenbeck processes: simulation of the nonstationary and
-stationary solutions of the Langevin equation driven by a Hermite process,
-and their limit laws as the Hurst index approaches 1 or 1/2."""
+"""Hermite Ornstein-Uhlenbeck processes: one simulator, simulate_hou, for
+both the nonstationary and the stationary solution of the Langevin equation
+driven by a Hermite process (the spec's `stationary` flag selects the
+window), and their limit laws as the Hurst index approaches 1 or 1/2."""
 from __future__ import annotations
 
 import math
@@ -68,64 +69,44 @@ def simulate_hou(
     stream: np.random.Generator,
     n_internal: int = 2**14,
 ) -> RandomField:
-    """Nonstationary solution Y(t) = e^(-lam t) (xi + sigma int_0^t e^(lam u) dZ)
-    on a one-parameter grid over [0, T].
+    """Hermite OU path on a one-parameter grid over [0, T].
 
-    xi is drawn first (once per replicate, independent of the driving sheet),
-    then one Hermite path on the grid; the integral is a midpoint
-    Riemann-Stieltjes cumulative sum.
+    Nonstationary spec: Y(t) = e^(-lam t) (xi + sigma int_0^t e^(lam u) dZ).
+    xi is drawn first (once per replicate, independent of the driving
+    sheet), then one Hermite path on the grid.
+
+    Stationary spec: X(t) = sigma int_(-M)^t e^(-lam (t-u)) dZ(u), with the
+    driving path on [-M, T] and no draw for xi.  Horizons with lam*M < 5
+    are refused (truncated tail mass above e^-5).
+
+    Both integrals are midpoint Riemann-Stieltjes cumulative sums.
     """
+    if grid.d != 1 or abs(grid.origins[0]) > 1e-12:
+        raise DomainError("need a one-parameter grid starting at 0")
+    path_grid, m_cells = grid, 0
     if spec.stationary:
-        raise DomainError("spec is stationary; use simulate_stationary_hou")
-    if grid.d != 1 or abs(grid.origins[0]) > 1e-12:
-        raise DomainError("need a one-parameter grid starting at 0")
-    xi = draw_xi(spec.xi, stream)
-    z = simulate_hermite_sheet(
-        HermiteSpec(spec.q, HurstMultiIndex(spec.H)), grid, n_internal, stream
-    )
-    dz = np.diff(z.values)
-    mids = grid.axis_mids(0)
-    integ = np.concatenate([[0.0], np.cumsum(np.exp(spec.lam * mids) * dz)])
-    nodes = grid.axis_nodes(0)
-    y = np.exp(-spec.lam * nodes) * (xi + spec.sigma * integ)
-    meta = FieldMeta(spec=z.meta.spec, seed=z.meta.seed, method="hou",
-                     internal=z.meta.internal)
-    return RandomField(grid=grid, values=y, meta=meta)
-
-
-def simulate_stationary_hou(
-    spec: OUSpec,
-    grid: GridSpec,
-    stream: np.random.Generator,
-    n_internal: int = 2**14,
-) -> RandomField:
-    """Stationary solution X(t) = sigma int_(-M)^t e^(-lam (t-u)) dZ(u) on a
-    grid over [0, T]; the driving Hermite path lives on [-M, T].
-
-    Refuses horizons with lam*M < 5 (truncated tail mass above e^-5).
-    """
-    if not spec.stationary:
-        raise DomainError("spec is nonstationary; use simulate_hou")
-    if grid.d != 1 or abs(grid.origins[0]) > 1e-12:
-        raise DomainError("need a one-parameter grid starting at 0")
-    M = spec.horizon()
-    if spec.lam * M < 5.0:
-        raise DomainError(f"truncation refused: lam*M = {spec.lam * M:.2f} < 5")
-    h = grid.mesh[0]
-    m_cells = int(math.ceil(M / h - 1e-12))
-    path_grid = GridSpec(-m_cells * h, m_cells * h + grid.extents[0],
-                         m_cells + grid.steps[0])
+        M = spec.horizon()
+        if spec.lam * M < 5.0:
+            raise DomainError(f"truncation refused: lam*M = {spec.lam * M:.2f} < 5")
+        h = grid.mesh[0]
+        m_cells = int(math.ceil(M / h - 1e-12))
+        path_grid = GridSpec(-m_cells * h, m_cells * h + grid.extents[0],
+                             m_cells + grid.steps[0])
+    xi = 0.0 if spec.stationary else draw_xi(spec.xi, stream)
     z = simulate_hermite_sheet(
         HermiteSpec(spec.q, HurstMultiIndex(spec.H)), path_grid, n_internal, stream
     )
     dz = np.diff(z.values)
     mids = path_grid.axis_mids(0)
-    integ = np.concatenate([[0.0], np.cumsum(np.exp(spec.lam * mids) * dz)])
-    nodes = grid.axis_nodes(0)
-    x = spec.sigma * np.exp(-spec.lam * nodes) * integ[m_cells + np.arange(grid.steps[0] + 1)]
-    meta = FieldMeta(spec=z.meta.spec, seed=z.meta.seed, method="hou_stationary",
+    integ = np.concatenate([[0.0], np.cumsum(np.exp(spec.lam * mids) * dz)])[m_cells:]
+    decay = np.exp(-spec.lam * grid.axis_nodes(0))
+    if spec.stationary:
+        values, method = spec.sigma * decay * integ, "hou_stationary"
+    else:
+        values, method = decay * (xi + spec.sigma * integ), "hou"
+    meta = FieldMeta(spec=z.meta.spec, seed=z.meta.seed, method=method,
                      internal=z.meta.internal)
-    return RandomField(grid=grid, values=x, meta=meta)
+    return RandomField(grid=grid, values=values, meta=meta)
 
 
 def ou_limit_covariance(kind: str, t: float, s: float, lam: float, sigma: float) -> float:

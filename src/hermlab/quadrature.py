@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,6 +29,7 @@ from .core import (
     Integrand,
     LimitScenario,
     UnsupportedError,
+    midpoint_mesh,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -117,12 +118,6 @@ def _panel_edges(f: Integrand, panels) -> list[np.ndarray]:
     return [np.linspace(lo[a], hi[a], panels[a] + 1) for a in range(f.d)]
 
 
-def _midpoint_values(f: Integrand, edges: Sequence[np.ndarray]) -> np.ndarray:
-    mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    pts = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1)
-    return f.eval(pts)
-
-
 def _bilinear_form(F: np.ndarray, G: np.ndarray, mats: Sequence[np.ndarray]) -> float:
     """sum_{I,J} F[I] G[J] prod_a W_a[i_a, j_a] via successive contractions."""
     T = F
@@ -158,8 +153,8 @@ def inner_product_HH(f: Integrand, g: Integrand, H, cfg: QuadratureConfig = DEFA
             raise DomainError(f"Hurst entry {h} not in (1/2, 1)")
     ef = _panel_edges(f, cfg.panels)
     eg = _panel_edges(g, cfg.panels)
-    F = _midpoint_values(f, ef)
-    G = _midpoint_values(g, eg)
+    F = f.eval(midpoint_mesh(ef))
+    G = g.eval(midpoint_mesh(eg))
     mats = [_axis_kernel(ef[a], eg[a], Hs[a], cfg.mode) for a in range(f.d)]
     pref = float(np.prod([h * (2.0 * h - 1.0) for h in Hs]))
     return pref * _bilinear_form(F, G, mats)
@@ -195,7 +190,7 @@ def hbar_norm(
 
     edges = _panel_edges(f, cfg.panels)
     widths = [float(e[1] - e[0]) for e in edges]
-    Fa = np.abs(_midpoint_values(f, edges))
+    Fa = np.abs(f.eval(midpoint_mesh(edges)))
     total = 0.0
     if k == d:
         total += float(np.sum(Fa)) * float(np.prod(widths))
@@ -240,7 +235,7 @@ def lp_admissibility(f: Integrand, H, cfg: QuadratureConfig = DEFAULT_CFG) -> Lp
     if len(Hs) != f.d:
         raise DomainError("H must have one entry per axis")
     edges = _panel_edges(f, cfg.panels)
-    vals = np.abs(_midpoint_values(f, edges))
+    vals = np.abs(f.eval(midpoint_mesh(edges)))
     widths = [float(e[1] - e[0]) for e in edges]
     vol = float(np.prod(widths))
     l1 = float(np.sum(vals)) * vol
@@ -272,7 +267,7 @@ class EffectiveExponents(NamedTuple):
     gamma0: float
 
 
-def effective_exponents(H0: Optional[float], H, scenario: LimitScenario) -> EffectiveExponents:
+def effective_exponents(H, scenario: LimitScenario) -> EffectiveExponents:
     """Spatial decay exponents at the limit, with the sign fixed so that the
     all-axes-to-1/2 case in d=1 yields gamma = 1/2:
 
@@ -280,8 +275,8 @@ def effective_exponents(H0: Optional[float], H, scenario: LimitScenario) -> Effe
         gamma0 = d - k/2 - sum_{a not in A_k} H_a^lim
 
     H supplies the ambient dimension; axis limits come from the scenario
-    (A_k -> 1/2, B_p -> 1, fixed values otherwise).  H0 is accepted for
-    interface symmetry with the heat-equation module and does not enter.
+    (A_k -> 1/2, B_p -> 1, fixed values otherwise).  The time index H0
+    does not enter.
     """
     Hs = _as_hurst_tuple(H)
     d = len(Hs)
@@ -333,7 +328,7 @@ def sigma_limit(f: Integrand, scenario: LimitScenario, cfg: QuadratureConfig = D
     d = f.d
     scenario.target(0.5, d)  # validates that every axis has a role
     edges = _panel_edges(f, cfg.panels)
-    F = _midpoint_values(f, edges)
+    F = f.eval(midpoint_mesh(edges))
     mats = []
     pref = 1.0
     for a in range(d):

@@ -27,10 +27,9 @@ from .core import (
     LimitScenario,
     RandomField,
     UnsupportedError,
-    cell_increments,
 )
 from .fields import sample_hermite_limit_rv, simulate_hermite_sheet
-from .integrals import mixed_limit_sampler, riemann_weights
+from .integrals import WienerFunctional, mixed_limit_sampler
 from .quadrature import (
     fbm_time_kernel_integral,
     limit_constant,
@@ -137,9 +136,7 @@ def _mild_setup(spec: HeatSpec, t: float, x: tuple) -> tuple:
     extents = [t] + [2.0 * L] * spec.d
     steps = [spec.t_steps] + [spec.x_steps] * spec.d
     grid = GridSpec(origins, extents, steps)
-    window = HeatWindow(t, x, L)
-    weights = riemann_weights(window, grid)
-    return grid, weights
+    return grid, WienerFunctional(HeatWindow(t, x, L), grid)
 
 
 def sample_mild_solution(spec: HeatSpec, t: float, x, stream: np.random.Generator) -> float:
@@ -153,10 +150,9 @@ def sample_mild_solution(spec: HeatSpec, t: float, x, stream: np.random.Generato
         raise DomainError("t must be >= 0")
     if t == 0:
         return 0.0
-    grid, weights = _mild_setup(spec, float(t), x)
+    grid, functional = _mild_setup(spec, float(t), x)
     sheet_spec = HermiteSpec(spec.q, HurstMultiIndex((spec.h0,) + spec.h))
-    field = simulate_hermite_sheet(sheet_spec, grid, spec.n_internal, stream)
-    return float(np.sum(weights * cell_increments(field.values)))
+    return functional(simulate_hermite_sheet(sheet_spec, grid, spec.n_internal, stream))
 
 
 # ---------------------------------------------------------------------------

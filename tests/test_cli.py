@@ -115,6 +115,12 @@ class TestHeat:
         assert payload["quadrature_covariance"] == pytest.approx(0.5617, abs=0.001)
         assert payload["white_noise_limit"] == pytest.approx(1 / math.sqrt(math.pi), rel=1e-9)
 
+    def test_gamma_cond_is_the_exact_sum(self, capsys):
+        # 4*0.6 + (2*0.6 - 1) is 2.5999999999999996 in floats
+        code, out, _ = run(capsys, "heat", "--h0", "0.6", "--hurst", "0.6")
+        assert code == 0
+        assert load_json(out)["gamma_cond"] == 2.6
+
     def test_existence_violation_is_error(self, capsys):
         code, _, err = run(
             capsys, "heat", "--q", "2", "--h0", "0.6", "--hurst", "0.6,0.6,0.6",
@@ -149,7 +155,11 @@ class TestContract:
         ["ou", "--hurst", "0.7", "--reps", "40", "--grid", "64", "--n-internal", "1024"],
         ["sweep", "--target", "half", "--hurst-grid", "0.75,0.55", "--reps", "40", "--grid", "64",
          "--n-internal", "1024", "--panels", "64"],
-    ], ids=["integral", "ou", "sweep"])
+        ["heat", "--h0", "0.6", "--hurst", "0.6", "--reps", "20", "--t-steps", "32",
+         "--x-steps", "32", "--n-internal", "64", "--trunc", "4"],
+        ["ou", "--stationary", "--horizon", "6", "--hurst", "0.7", "--reps", "40", "--grid", "64",
+         "--n-internal", "1024"],
+    ], ids=["integral", "ou", "sweep", "heat", "ou_stationary"])
     def test_mc_payloads_byte_identical_and_thread_independent(self, capsys, argv):
         payloads = []
         for threads in ("1", "1", "2"):

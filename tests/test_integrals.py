@@ -16,9 +16,9 @@ from hermlab.core import (
 )
 from hermlab.fields import simulate_hermite_sheet
 from hermlab.integrals import (
+    WienerFunctional,
     covered_mass_fraction,
     mixed_limit_sampler,
-    riemann_weights,
     wiener_hermite_integral,
 )
 from hermlab.quadrature import QuadratureConfig, inner_product_HH
@@ -55,19 +55,15 @@ class TestWienerIntegral:
     def test_mean_zero(self):
         f = ExpWindow(1.0, 1.0)
         g = GridSpec(0.0, 1.0, 256)
-        W = riemann_weights(f, g)
-        vals = np.array([
-            np.sum(W * np.diff(field(steps=256, rep=i, salt=1).values)) for i in range(2000)
-        ])
+        W = WienerFunctional(f, g)
+        vals = np.array([W(field(steps=256, rep=i, salt=1)) for i in range(2000)])
         assert abs(vals.mean()) < 4 * vals.std() / math.sqrt(len(vals))
 
     def test_isometry_statistical(self):
         f = ExpWindow(1.0, 1.0)
         g = GridSpec(0.0, 1.0, 512)
-        W = riemann_weights(f, g)
-        vals = np.array([
-            np.sum(W * np.diff(field(rep=i, salt=2).values)) for i in range(1500)
-        ])
+        W = WienerFunctional(f, g)
+        vals = np.array([W(field(rep=i, salt=2)) for i in range(1500)])
         quad = inner_product_HH(f, f, 0.7, QuadratureConfig(panels=512))
         se = np.std((vals - vals.mean()) ** 2) / math.sqrt(len(vals))
         assert abs(vals.var() - quad) < 4 * se + 0.02 * quad
@@ -92,6 +88,32 @@ class TestWienerIntegral:
         frac = covered_mass_fraction(f, g_half)
         expect = (1 - math.exp(-0.5)) / (1 - math.exp(-1.0))
         assert frac == pytest.approx(expect, abs=0.01)
+
+
+class TestWienerFunctional:
+    def test_equals_one_shot_integral_bit_for_bit(self):
+        g = GridSpec(0.0, 1.0, 256)
+        for f in (ExpWindow(1.3, 1.0), IndicatorBox(0.1, 0.83)):
+            W = WienerFunctional(f, g)
+            for rep in range(3):
+                fld = field(steps=256, rep=rep, salt=6)
+                assert W(fld) == wiener_hermite_integral(f, fld)
+        g2 = GridSpec([0, 0], [1, 1], [32, 32])
+        fld2 = simulate_hermite_sheet(HermiteSpec(2, (0.7, 0.8)), g2, 128,
+                                      derive_stream(SEED + 7, 0))
+        box = IndicatorBox([0.1, 0.2], [0.7, 0.9])
+        assert WienerFunctional(box, g2)(fld2) == wiener_hermite_integral(box, fld2)
+
+    def test_truncation_raised_at_construction(self):
+        with pytest.raises(TruncationError):
+            WienerFunctional(ExpWindow(1.0, 1.0, lo=-10.0), GridSpec(0.0, 1.0, 64))
+
+    def test_field_from_another_grid_rejected(self):
+        W = WienerFunctional(ExpWindow(1.0, 1.0), GridSpec(0.0, 1.0, 256))
+        with pytest.raises(DomainError):
+            W(field(steps=512))
+        with pytest.raises(DomainError):
+            WienerFunctional(IndicatorBox([0, 0], [1, 1]), GridSpec(0.0, 1.0, 64))
 
 
 class TestMixedLimit:
@@ -130,16 +152,15 @@ class TestDistributionalLimits:
         # than at H=0.9
         f = ExpWindow(1.0, 1.0)
         g = GridSpec(0.0, 1.0, 512)
-        W = riemann_weights(f, g)
+        W = WienerFunctional(f, g)
         cdf = target_cdf_hermite_limit(2)
         scale = 1 - math.exp(-1.0)
         ks = []
         for j, h in enumerate((0.9, 0.99)):
             vals = np.array([
-                np.sum(W * np.diff(
-                    simulate_hermite_sheet(HermiteSpec(2, h), g, 2**13,
-                                           derive_stream(SEED + 10 + j, i)).values
-                )) for i in range(1500)
+                W(simulate_hermite_sheet(HermiteSpec(2, h), g, 2**13,
+                                         derive_stream(SEED + 10 + j, i)))
+                for i in range(1500)
             ])
             ks.append(ks_distance(vals / scale, cdf))
         assert ks[1] < ks[0]
@@ -147,16 +168,15 @@ class TestDistributionalLimits:
     def test_H_to_half_kurtosis_trend(self):
         f = ExpWindow(1.0, 1.0)
         g = GridSpec(0.0, 1.0, 512)
-        W = riemann_weights(f, g)
+        W = WienerFunctional(f, g)
         from hermlab.stats import excess_kurtosis
 
         ks = {}
         for j, h in enumerate((0.55, 0.75)):
             vals = np.array([
-                np.sum(W * np.diff(
-                    simulate_hermite_sheet(HermiteSpec(2, h), g, 2**13,
-                                           derive_stream(SEED + 20 + j, i)).values
-                )) for i in range(2000)
+                W(simulate_hermite_sheet(HermiteSpec(2, h), g, 2**13,
+                                         derive_stream(SEED + 20 + j, i)))
+                for i in range(2000)
             ])
             ks[h] = abs(excess_kurtosis(vals))
         assert ks[0.55] < ks[0.75]

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hermlab.core import DomainError, ExpWindow, GridSpec, derive_stream
+from hermlab.core import DomainError, ExpWindow, GridSpec, HermiteSpec, derive_stream
+from hermlab.fields import simulate_hermite_sheet
 from hermlab.ou import (
     OUSpec,
     ou_limit_covariance,
     ou_limit_rv_H1,
     ou_window,
     simulate_hou,
-    simulate_stationary_hou,
 )
 from hermlab.quadrature import QuadratureConfig, inner_product_HH
 from hermlab.stats import ks_distance
@@ -56,9 +56,6 @@ class TestNonstationary:
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=0.7, xi=0.5)
         g = GridSpec(0, 1, 2**12)
         stream = derive_stream(SEED + 2, 0)
-        from hermlab.core import HermiteSpec
-        from hermlab.fields import simulate_hermite_sheet
-
         # reproduce the internals: same stream gives xi then the path
         xi = 0.5
         y = simulate_hou(spec, g, stream, 2**13)
@@ -83,17 +80,36 @@ class TestNonstationary:
         se = np.std((ys - ys.mean()) ** 2) / math.sqrt(len(ys))
         assert abs(ys.var() - target) < 4 * se + 0.02 * target
 
-    def test_stationary_flag_rejected(self):
-        spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=0.7, stationary=True)
-        with pytest.raises(DomainError):
-            simulate_hou(spec, GridSpec(0, 1, 64), derive_stream(SEED, 0), 1024)
-
 
 class TestStationary:
+    def test_matches_reference_from_driving_path(self):
+        # X(t) = sigma e^(-lam t) int_(-M)^t e^(lam u) dZ(u), rebuilt from the
+        # same derived stream with the driving path laid on [-M, T]
+        spec = OUSpec(lam=1.5, sigma=1.7, q=2, H=0.7, stationary=True, M=4.0)
+        g = GridSpec(0, 1, 64)
+        x = simulate_hou(spec, g, derive_stream(SEED + 12, 0), 1024)
+        h = g.mesh[0]
+        m = int(math.ceil(spec.M / h - 1e-12))
+        path = GridSpec(-m * h, m * h + 1.0, m + 64)
+        z = simulate_hermite_sheet(HermiteSpec(2, 0.7), path, 1024, derive_stream(SEED + 12, 0))
+        dz = np.exp(spec.lam * path.axis_mids(0)) * np.diff(z.values)
+        integ = np.concatenate([[0.0], np.cumsum(dz)])[m:]
+        ref = spec.sigma * np.exp(-spec.lam * g.axis_nodes(0)) * integ
+        np.testing.assert_array_equal(x.values, ref)
+        assert x.meta.method == "hou_stationary"
+
+    def test_xi_consumes_no_draw(self):
+        g = GridSpec(0, 1, 64)
+        base = dict(lam=1.0, sigma=1.3, q=2, H=0.7, stationary=True, M=6.0)
+        x0 = simulate_hou(OUSpec(**base, xi=0.0), g, derive_stream(SEED + 13, 0), 1024)
+        xg = simulate_hou(OUSpec(**base, xi=("gaussian", 0.5, 2.0)), g,
+                          derive_stream(SEED + 13, 0), 1024)
+        np.testing.assert_array_equal(x0.values, xg.values)
+
     def test_truncation_refused(self):
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=0.7, stationary=True, M=3.0)
         with pytest.raises(DomainError):
-            simulate_stationary_hou(spec, GridSpec(0, 1, 64), derive_stream(SEED, 0), 1024)
+            simulate_hou(spec, GridSpec(0, 1, 64), derive_stream(SEED, 0), 1024)
 
     def test_variance_roughly_constant(self):
         # q=1 keeps the variance-estimator noise below the 10% spread gate;
@@ -101,7 +117,7 @@ class TestStationary:
         spec = OUSpec(lam=1.0, sigma=1.0, q=1, H=0.7, stationary=True, M=10.0)
         g = GridSpec(0, 1, 128)
         xs = np.stack([
-            simulate_stationary_hou(spec, g, derive_stream(SEED + 4, i), 2**13).values
+            simulate_hou(spec, g, derive_stream(SEED + 4, i), 2**13).values
             for i in range(4000)
         ])
         v = xs[:, [32, 64, 128]].var(axis=0)
@@ -111,7 +127,7 @@ class TestStationary:
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=0.7, stationary=True, M=10.0)
         g = GridSpec(0, 1, 128)
         xs = np.array([
-            simulate_stationary_hou(spec, g, derive_stream(SEED + 5, i), 2**13).values[-1]
+            simulate_hou(spec, g, derive_stream(SEED + 5, i), 2**13).values[-1]
             for i in range(1500)
         ])
         w = ou_window(spec, 1.0)
@@ -123,7 +139,7 @@ class TestStationary:
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=0.7, stationary=True, M=10.0)
         g = GridSpec(0, 1, 128)
         xs = np.stack([
-            simulate_stationary_hou(spec, g, derive_stream(SEED + 6, i), 2**13).values
+            simulate_hou(spec, g, derive_stream(SEED + 6, i), 2**13).values
             for i in range(1500)
         ])
         var0 = xs[:, 0].var()
@@ -134,7 +150,7 @@ class TestStationary:
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=0.7, stationary=True, M=10.0)
         g = GridSpec(0, 1, 128)
         xs = np.stack([
-            simulate_stationary_hou(spec, g, derive_stream(SEED + 7, i), 2**13).values
+            simulate_hou(spec, g, derive_stream(SEED + 7, i), 2**13).values
             for i in range(2500)
         ])
         c_a = np.mean(xs[:, 0] * xs[:, 64])
