@@ -15,6 +15,7 @@ from .core import (
     IndicatorBox,
     Integrand,
     LimitScenario,
+    Marginal,
     RandomField,
     ResourceError,
     Tabulated,
@@ -35,6 +36,7 @@ __all__ = [
     "IndicatorBox",
     "Integrand",
     "LimitScenario",
+    "Marginal",
     "RandomField",
     "ResourceError",
     "Tabulated",

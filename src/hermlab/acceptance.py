@@ -53,10 +53,9 @@ def crit_1_fbm_covariance(seed: int, fast: bool):
     H, steps = 0.7, 512
     grid = GridSpec(0.0, 1.0, steps)
     nodes = [64, 128, 256, 384, 512]
-    paths = np.empty((n, len(nodes)))
-    for i in range(n):
-        fld = simulate_fractional_gaussian_sheet(H, grid, derive_stream(seed, i))
-        paths[i] = fld.values[nodes]
+    paths = collect_samples(
+        lambda s: simulate_fractional_gaussian_sheet(H, grid, s).values[nodes], n, seed
+    )
     worst = 0.0
     for a in range(5):
         for b in range(5):
@@ -77,10 +76,9 @@ def crit_2_hermite_variance(seed: int, fast: bool):
     n = 20000
     grid = GridSpec(0.0, 1.0, 512)
     spec = HermiteSpec(2, HurstMultiIndex(0.7))
-    vals = np.empty((n, 2))
-    for i in range(n):
-        z = simulate_hermite_sheet(spec, grid, 2**14, derive_stream(seed, i))
-        vals[i] = z.values[[256, 512]]
+    vals = collect_samples(
+        lambda s: simulate_hermite_sheet(spec, grid, 2**14, s).values[[256, 512]], n, seed
+    )
     rel = [vals[:, j].var() / (t ** 1.4) - 1.0 for j, t in enumerate((0.5, 1.0))]
     ok = max(abs(r) for r in rel) <= 0.10
     return ok, f"Var/t^1.4 - 1: t=0.5 -> {rel[0]:+.3f}, t=1 -> {rel[1]:+.3f} (gate 0.10)"

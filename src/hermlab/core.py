@@ -371,6 +371,53 @@ class Tabulated(Integrand):
         return out.reshape(pts.shape[:-1])
 
 
+@dataclass(frozen=True)
+class Marginal(Integrand):
+    """v -> int f(u_A, v) du_A: the axes A of f integrated out by the
+    midpoint rule on `panels` cells per axis over f's support, the other
+    axes kept in their order.
+
+    Wiener integrals of a marginal against the lower-dimensional sheet are
+    the limits of int f dZ^(q,H) when the components of H on A tend to 1.
+    """
+
+    f: Integrand
+    axes: tuple[int, ...]
+    panels: int = 64
+
+    def __post_init__(self):
+        axes = tuple(sorted(int(a) for a in self.axes))
+        if not 0 < len(axes) < self.f.d:
+            raise DomainError(
+                f"a marginal integrates out between 1 and {self.f.d - 1} axes, not {len(axes)}"
+            )
+        if len(set(axes)) != len(axes) or not 0 <= axes[0] <= axes[-1] < self.f.d:
+            raise DomainError(f"axes {axes} are not distinct axes of a {self.f.d}-d integrand")
+        if self.panels < 1:
+            raise DomainError("a marginal needs at least one panel per axis")
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "d", self.f.d - len(axes))
+
+    def _kept(self) -> list[int]:
+        return [a for a in range(self.f.d) if a not in self.axes]
+
+    def support(self):
+        lo, hi = self.f.support()
+        kept = self._kept()
+        return lo[kept], hi[kept]
+
+    def eval(self, pts):
+        pts = self._check_pts(pts)
+        lo, hi = self.f.support()
+        edges = [np.linspace(lo[a], hi[a], self.panels + 1) for a in self.axes]
+        outer = midpoint_mesh(edges).reshape(-1, len(self.axes))
+        full = np.empty(pts.shape[:-1] + outer.shape[:1] + (self.f.d,))
+        full[..., self._kept()] = pts[..., None, :]
+        full[..., list(self.axes)] = outer
+        width = math.prod(e[1] - e[0] for e in edges)
+        return self.f.eval(full).sum(axis=-1) * width
+
+
 def integrand_eval(f: Integrand, point) -> float:
     """Pointwise value of an integrand at a single point."""
     pts = np.asarray(point, dtype=float).reshape(-1)
@@ -422,26 +469,17 @@ def cell_increments(values: np.ndarray) -> np.ndarray:
 # Reproducible stream derivation
 # ---------------------------------------------------------------------------
 
-def _seed_sequence(master_seed: int, replicate_index: int) -> np.random.SeedSequence:
-    if replicate_index < 0:
-        raise DomainError("replicate index must be >= 0")
-    return np.random.SeedSequence(
-        entropy=int(master_seed) % 2**64, spawn_key=(int(replicate_index),)
-    )
-
-
 def derive_stream(master_seed: int, replicate_index: int) -> np.random.Generator:
     """Independent, reproducible stream for one replicate.
 
     A pure function of (master_seed, replicate_index): identical inputs give
     identical streams regardless of thread schedule.
     """
-    return np.random.default_rng(_seed_sequence(master_seed, replicate_index))
-
-
-def stream_state(master_seed: int, replicate_index: int, words: int = 4) -> tuple[int, ...]:
-    """Stable identifier of a derived stream (for provenance and collision checks)."""
-    return tuple(int(w) for w in _seed_sequence(master_seed, replicate_index).generate_state(words))
+    if replicate_index < 0:
+        raise DomainError("replicate index must be >= 0")
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=int(master_seed) % 2**64, spawn_key=(int(replicate_index),)
+    ))
 
 
 # ---------------------------------------------------------------------------

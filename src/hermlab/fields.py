@@ -2,10 +2,11 @@
 polynomials, the limit variable H_q(Z)/sqrt(q!), and a brute-force multiple
 Wiener-Ito integral oracle.
 
-The production Hermite-sheet sampler uses the Hermite-rank construction:
-a long-range-dependent Gaussian array with per-axis transformed Hurst value
+Every sheet comes from one pipeline, the Hermite-rank construction: a
+long-range-dependent Gaussian array with per-axis transformed Hurst value
 H' = 1 + (H-1)/q is pushed through H_q pointwise, block-summed from the fine
-mesh into grid cells, and cumulatively summed over the grid.  The base
+mesh into grid cells, and cumulatively summed over the grid.  The fractional
+Gaussian sheet is its q = 1 case at one fine cell per grid cell.  The base
 correlation is chosen so the transformed increments carry the exact
 fractional-sheet covariance, making Var Z(node) = node^(2H) at every grid
 node in expectation.  Gaussian arrays come from circulant embedding driven
@@ -44,6 +45,7 @@ _SQRT_EIG_CACHE: dict = {}  # sampler key -> half-spectrum sqrt eigenvalue tenso
 
 
 CHAOS_CELL_CAP = 2**21
+SHEET_CELL_CAP = 2**26  # circulant cells of one sheet draw, 512 MiB per float64 array
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +173,36 @@ def _padded_cumsum(incr: np.ndarray) -> np.ndarray:
     return padded
 
 
+def _sheet(Hs, q, grid, strides, stream, spec, method) -> RandomField:
+    """The one sheet pipeline: a stationary unit Gaussian array with per-axis
+    correlation rho_H(k)^(1/q) on the fine mesh of strides[a] cells per grid
+    cell, pushed through H_q, block-summed into grid cells, scaled by
+    prod_a fine_mesh_a^(H_a) / sqrt(q!) and cumulatively summed."""
+    N = [st * s for st, s in zip(strides, grid.steps)]
+    cells = math.prod(2 * n for n in N)
+    if cells > SHEET_CELL_CAP:
+        raise ResourceError(
+            f"circulant of {cells} cells exceeds the sampler cap {SHEET_CELL_CAP}; "
+            "lower the grid or the fine mesh"
+        )
+    key = tuple((round(h, 12), q, n) for h, n in zip(Hs, N))
+    eigs = [_circulant_eigs(h, n, q) for h, n in zip(Hs, N)]
+    xi = _stationary_unit_field(eigs, stream, cache_key=key)
+    fine_mesh = [e / n for e, n in zip(grid.extents, N)]
+    c = float(np.prod([m**h for m, h in zip(fine_mesh, Hs)])) / math.sqrt(math.factorial(q))
+    values = _padded_cumsum(_block_sum(hermite_poly(q, xi), strides) * c)
+    meta = FieldMeta(spec=spec, seed=_meta_seed(stream), method=method, internal=max(N))
+    return RandomField(grid=grid, values=values, meta=meta)
+
+
 def simulate_fractional_gaussian_sheet(
     H: Union[float, Sequence[float], HurstMultiIndex],
     grid: GridSpec,
     stream: np.random.Generator,
 ) -> RandomField:
     """Gaussian field with covariance prod_a R_{H_a}(t_a, s_a) on the grid
-    nodes (anchored at the low corner), built per axis by circulant
-    embedding of fGn and cumulative summation, tensored across axes."""
+    nodes (anchored at the low corner): the q = 1 sheet pipeline at one fine
+    cell per grid cell, for any H_a in (0, 1)."""
     if isinstance(H, HurstMultiIndex):
         Hs = H.values
     else:
@@ -188,16 +212,10 @@ def simulate_fractional_gaussian_sheet(
     for h in Hs:
         if not 0.0 < h < 1.0:
             raise DomainError(f"Hurst exponent {h} not in (0, 1)")
-    key = tuple((round(h, 12), n) for h, n in zip(Hs, grid.steps))
-    eigs = [_circulant_eigs(h, n) for h, n in zip(Hs, grid.steps)]
-    x = _stationary_unit_field(eigs, stream, cache_key=key)
-    scale = float(np.prod([m**h for m, h in zip(grid.mesh, Hs)]))
-    values = _padded_cumsum(x * scale)
     spec = None
     if all(0.5 < h < 1.0 for h in Hs):
         spec = HermiteSpec(1, HurstMultiIndex(Hs))
-    meta = FieldMeta(spec=spec, seed=_meta_seed(stream), method="circulant", internal=0)
-    return RandomField(grid=grid, values=values, meta=meta)
+    return _sheet(Hs, 1, grid, [1] * grid.d, stream, spec, "circulant")
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +239,16 @@ def simulate_hermite_sheet(
     converges with the fine mesh.
 
     n_internal is the fine-mesh size per axis; it is rounded to a multiple of
-    the output step count so grid nodes land on fine-mesh nodes.
+    the output step count so grid nodes land on fine-mesh nodes.  A fine mesh
+    whose circulant would exceed SHEET_CELL_CAP cells raises ResourceError
+    before anything is allocated.
     """
     if spec.d != grid.d:
         raise DomainError("spec and grid dimension mismatch")
     if n_internal < 64:
         raise DomainError("internal fine mesh must have at least 64 cells per axis")
-    Hs = spec.hurst.values
-    q = spec.q
     strides = [max(1, round(n_internal / s)) for s in grid.steps]
-    N = [st * s for st, s in zip(strides, grid.steps)]
-    key = tuple(("hr", round(h, 12), q, n) for h, n in zip(Hs, N))
-    eigs = [_circulant_eigs(h, n, q) for h, n in zip(Hs, N)]
-    xi = _stationary_unit_field(eigs, stream, cache_key=key)
-    fine_mesh = [e / n for e, n in zip(grid.extents, N)]
-    c = float(np.prod([m**h for m, h in zip(fine_mesh, Hs)])) / math.sqrt(math.factorial(q))
-    values = _padded_cumsum(_block_sum(hermite_poly(q, xi), strides) * c)
-    meta = FieldMeta(spec=spec, seed=_meta_seed(stream), method="hermite_rank",
-                     internal=max(N))
-    return RandomField(grid=grid, values=values, meta=meta)
+    return _sheet(spec.hurst.values, spec.q, grid, strides, stream, spec, "hermite_rank")
 
 
 # ---------------------------------------------------------------------------

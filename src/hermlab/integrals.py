@@ -1,10 +1,10 @@
-"""Wiener integrals against simulated Hermite sheets and the mixed limit
-object that appears when part of the Hurst index is driven to 1.
+"""Wiener integrals against simulated Hermite sheets.
 
 Every Wiener integral in the package (a plain integral, an OU value, a
-heat mild solution) is one WienerFunctional: the integrand's midpoint
-weights on a grid, checked once for truncation, then dotted with the cell
-increments of each replicate's field.
+heat mild solution, the H -> 1 limit object int Marginal(f, A) dZ^(q,d-k))
+is one WienerFunctional: the integrand's midpoint weights on a grid,
+checked once for truncation, then dotted with the cell increments of each
+replicate's field.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .core import (
     DomainError,
     GridSpec,
     Integrand,
-    LimitScenario,
     RandomField,
     TruncationError,
     cell_increments,
@@ -33,8 +32,14 @@ def riemann_weights(f: Integrand, grid: GridSpec) -> np.ndarray:
 
 
 def covered_mass_fraction(f: Integrand, grid: GridSpec, panels: int = 128) -> float:
-    """Fraction of the L1 mass of f captured inside the grid box."""
+    """Fraction of the L1 mass of f captured inside the grid box; 1 without
+    evaluating f when its support box lies inside the grid box (up to a
+    1e-12 relative slack on the box corners)."""
     lo_f, hi_f = f.support()
+    lo_g, hi_g = grid.lo(), grid.hi()
+    slack = 1e-12 * (hi_g - lo_g)
+    if np.all(lo_f >= lo_g - slack) and np.all(hi_f <= hi_g + slack):
+        return 1.0
     if np.isscalar(panels):
         panels = [panels] * f.d
     pts = midpoint_mesh([np.linspace(lo_f[a], hi_f[a], panels[a] + 1) for a in range(f.d)])
@@ -42,7 +47,6 @@ def covered_mass_fraction(f: Integrand, grid: GridSpec, panels: int = 128) -> fl
     total = float(vals.sum())
     if total == 0.0:
         return 1.0
-    lo_g, hi_g = grid.lo(), grid.hi()
     inside = np.all((pts >= lo_g) & (pts <= hi_g), axis=-1)
     return float(vals[inside].sum()) / total
 
@@ -77,43 +81,3 @@ class WienerFunctional:
 def wiener_hermite_integral(f: Integrand, field: RandomField) -> float:
     """One-shot WienerFunctional(f, field.grid)(field)."""
     return WienerFunctional(f, field.grid)(field)
-
-
-def mixed_limit_sampler(
-    f: Integrand,
-    scenario: LimitScenario,
-    lower_field: RandomField,
-    outer_panels: int = 64,
-) -> float:
-    """Sample of the H->1 limit object: the A_k coordinates of f are
-    integrated deterministically, the remaining coordinates go against a
-    lower-dimensional Hermite sheet,
-
-        X = int du_{A_k} ( int f(u_{A_k}, .) dZ^(q, d-k) ).
-    """
-    d = f.d
-    k = scenario.k
-    if k < 1:
-        raise DomainError("mixed limit needs at least one axis driven to 1")
-    if k >= d:
-        raise DomainError(
-            "all axes driven to 1: the limit is (int f) * H_q(Z)/sqrt(q!), "
-            "use sample_hermite_limit_rv"
-        )
-    outer = sorted(scenario.a_axes)
-    inner = [a for a in range(d) if a not in outer]
-    if lower_field.grid.d != d - k:
-        raise DomainError("lower field dimension must be d - k")
-
-    lo, hi = f.support()
-    edges = [
-        np.linspace(lo[a], hi[a], outer_panels + 1) if a in outer
-        else lower_field.grid.axis_nodes(inner.index(a))
-        for a in range(d)
-    ]
-    outer_widths = [edges[a][1] - edges[a][0] for a in outer]
-    F = f.eval(midpoint_mesh(edges))
-    dz = cell_increments(lower_field.values)
-    Fm = np.moveaxis(F, outer, range(k))
-    inner_integrals = np.tensordot(Fm, dz, axes=(range(k, k + d - k), range(d - k)))
-    return float(np.sum(inner_integrals)) * float(np.prod(outer_widths))

@@ -149,12 +149,3 @@ def ou_limit_rv_H1(
         z = float(stream.standard_normal())
         return sigma / lam * float(hermite_poly(q, z)) / math.sqrt(math.factorial(q))
     raise DomainError(f"unknown OU kind {kind!r}")
-
-
-def ou_window(spec: OUSpec, t: float):
-    """The deterministic window whose Wiener integral gives the OU value at t
-    (for quadrature oracles): exp(-lam (t-u)) on [0,t] or on [-M,t]."""
-    from .core import ExpWindow
-
-    lo = -spec.horizon() if spec.stationary else 0.0
-    return ExpWindow(spec.lam, t, lo=lo)

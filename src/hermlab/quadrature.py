@@ -37,21 +37,14 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Panel counts and diagonal handling for the singular-kernel quadrature.
-
-    mode "exact_cell" integrates |u-v|^(2H-2) exactly over every panel pair;
-    mode "midpoint" keeps the exact treatment only on and next to the
-    diagonal and uses midpoint kernel values elsewhere (cross-check mode).
-    """
+    """Panel count per axis for the singular-kernel quadrature, which
+    integrates |u-v|^(2H-2) exactly over every panel pair."""
 
     panels: int = 256
-    mode: str = "exact_cell"
 
     def __post_init__(self):
         if self.panels < 8:
             raise DomainError("quadrature needs at least 8 panels per axis")
-        if self.mode not in ("exact_cell", "midpoint"):
-            raise DomainError(f"unknown diagonal mode {self.mode!r}")
 
 
 DEFAULT_CFG = QuadratureConfig()
@@ -93,22 +86,6 @@ def abs_pow_cell_masses(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> n
     au, bu = edges_u[:-1, None], edges_u[1:, None]
     av, bv = edges_v[None, :-1], edges_v[None, 1:]
     return psi(bu - av) + psi(au - bv) - psi(bu - bv) - psi(au - av)
-
-
-def _axis_kernel(edges_u, edges_v, H, mode):
-    """Panel-pair masses of |u-v|^(2H-2) for one axis (no H(2H-1) prefactor)."""
-    c = 2.0 * H - 2.0
-    exact = abs_pow_cell_masses(edges_u, edges_v, c)
-    if mode == "exact_cell":
-        return exact
-    mu = 0.5 * (edges_u[:-1] + edges_u[1:])
-    mv = 0.5 * (edges_v[:-1] + edges_v[1:])
-    hu = np.diff(edges_u)[:, None]
-    hv = np.diff(edges_v)[None, :]
-    diff = np.abs(mu[:, None] - mv[None, :])
-    near = diff <= (hu + hv)  # on or next to the diagonal: keep exact masses
-    mid = np.where(near, 1.0, diff) ** c * hu * hv
-    return np.where(near, exact, mid)
 
 
 def _panel_edges(f: Integrand, panels) -> list[np.ndarray]:
@@ -155,7 +132,7 @@ def inner_product_HH(f: Integrand, g: Integrand, H, cfg: QuadratureConfig = DEFA
     eg = _panel_edges(g, cfg.panels)
     F = f.eval(midpoint_mesh(ef))
     G = g.eval(midpoint_mesh(eg))
-    mats = [_axis_kernel(ef[a], eg[a], Hs[a], cfg.mode) for a in range(f.d)]
+    mats = [abs_pow_cell_masses(ef[a], eg[a], 2.0 * Hs[a] - 2.0) for a in range(f.d)]
     pref = float(np.prod([h * (2.0 * h - 1.0) for h in Hs]))
     return pref * _bilinear_form(F, G, mats)
 
@@ -205,7 +182,7 @@ def hbar_norm(
         F2 = Fm.reshape(m, *inner_shape)
         T = F2
         for a in inner:
-            W = _axis_kernel(edges[a], edges[a], Hs[a], cfg.mode)
+            W = abs_pow_cell_masses(edges[a], edges[a], 2.0 * Hs[a] - 2.0)
             T = np.tensordot(T, W, axes=(1, 0))
         inner_vals = np.sum(T * F2, axis=tuple(range(1, 1 + len(inner))))
         outer_vol = float(np.prod([widths[a] for a in outer]))
@@ -339,7 +316,7 @@ def sigma_limit(f: Integrand, scenario: LimitScenario, cfg: QuadratureConfig = D
             mats.append(np.outer(h, h))
         else:
             Ha = float(scenario.fixed[a])
-            mats.append(_axis_kernel(edges[a], edges[a], Ha, cfg.mode))
+            mats.append(abs_pow_cell_masses(edges[a], edges[a], 2.0 * Ha - 2.0))
             pref *= Ha * (2.0 * Ha - 1.0)
     return pref * _bilinear_form(F, F, mats)
 

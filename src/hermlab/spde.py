@@ -25,11 +25,12 @@ from .core import (
     HermiteSpec,
     HurstMultiIndex,
     LimitScenario,
+    Marginal,
     RandomField,
     UnsupportedError,
 )
 from .fields import sample_hermite_limit_rv, simulate_hermite_sheet
-from .integrals import WienerFunctional, mixed_limit_sampler
+from .integrals import WienerFunctional
 from .quadrature import (
     fbm_time_kernel_integral,
     limit_constant,
@@ -237,8 +238,9 @@ def heat_limit_sampler_H1(
     h0 = None drives the time index to 1.  If every spatial axis is driven to
     1 as well (case 3) the limit is t * H_q(Z)/sqrt(q!) and `lower` must be a
     stream; otherwise `lower` is a Hermite sheet over the remaining axes
-    (time first when h0 is fixed) and the collapsed coordinates of the heat
-    window are integrated deterministically.
+    (time first when h0 is fixed) and the limit is the Wiener integral of
+    Marginal(window, collapsed axes, outer_panels) against it, one
+    functional per (window, grid) reused across replicates.
     """
     x = tuple(float(v) for v in np.atleast_1d(x))
     d = len(x)
@@ -263,16 +265,11 @@ def heat_limit_sampler_H1(
     widths = [min(x[a] - lo[sp_off + i], hi[sp_off + i] - x[a])
               for i, a in enumerate(fixed_spatial)]
     trunc = min(widths) if widths else 6.0 * math.sqrt(t)
-    window = HeatWindow(t, x, trunc)
-    if h0 is None:
-        mixed_axes = (0,) + tuple(1 + a for a in a_spatial)
-    else:
-        mixed_axes = tuple(1 + a for a in a_spatial)
-    lower_hurst = lower.meta.spec.hurst.values if lower.meta.spec else None
-    fixed_map = {}
-    if h0 is not None:
-        fixed_map[0] = h0
-    for i, a in enumerate(fixed_spatial):
-        fixed_map[1 + a] = lower_hurst[sp_off + i] if lower_hurst else 0.75
-    mixed = LimitScenario(a_axes=mixed_axes, fixed=fixed_map)
-    return mixed_limit_sampler(window, mixed, lower, outer_panels=outer_panels)
+    axes = ((0,) if h0 is None else ()) + tuple(1 + a for a in a_spatial)
+    marginal = Marginal(HeatWindow(t, x, trunc), axes, outer_panels)
+    return _limit_functional(marginal, lower.grid)(lower)
+
+
+@functools.lru_cache(maxsize=64)
+def _limit_functional(marginal: Marginal, grid: GridSpec) -> WienerFunctional:
+    return WienerFunctional(marginal, grid)

@@ -2,7 +2,7 @@
 
 Replicates are tied to their index through derive_stream, so results are
 bit-identical for a fixed (sampler, n, seed) regardless of how many worker
-threads computed them: samples land in a preallocated array by index and the
+threads computed them: samples land in a preallocated list by index and the
 aggregation is a fixed pairwise reduction over that array.
 """
 from __future__ import annotations
@@ -44,15 +44,18 @@ class MCReport:
 
 
 def collect_samples(
-    sampler: Callable[[np.random.Generator], float],
+    sampler: Callable[[np.random.Generator], float | np.ndarray],
     n: int,
     master_seed: int,
     threads: int = 1,
 ) -> np.ndarray:
-    """Evaluate sampler on n derived streams; sample i always uses stream i."""
+    """Evaluate sampler on n derived streams; sample i always uses stream i.
+
+    A scalar sampler gives shape (n,); a sampler returning a fixed-shape
+    array gives shape (n, *that shape)."""
     if n < 1:
         raise DomainError("need at least one replicate")
-    out = np.empty(n)
+    out = [None] * n
 
     def run(lo: int, hi: int):
         for i in range(lo, hi):
@@ -67,7 +70,7 @@ def collect_samples(
             futs = [ex.submit(run, bounds[t], bounds[t + 1]) for t in range(threads)]
             for f in futs:
                 f.result()
-    return out
+    return np.array(out, dtype=float)
 
 
 def report_from_samples(samples: np.ndarray, seed: int) -> MCReport:
@@ -88,19 +91,6 @@ def report_from_samples(samples: np.ndarray, seed: int) -> MCReport:
         stderr_variance=math.sqrt(var_of_var),
         seed=int(seed),
     )
-
-
-def mc_report(
-    sampler: Callable[[np.random.Generator], float],
-    n: int,
-    master_seed: int,
-    threads: int = 1,
-) -> MCReport:
-    """Mean/variance report over n replicates with order-independent
-    aggregation; stderr_mean = sqrt(var/n)."""
-    if n < 2:
-        raise DomainError("mc report needs n >= 2")
-    return report_from_samples(collect_samples(sampler, n, master_seed, threads), master_seed)
 
 
 def excess_kurtosis(samples: np.ndarray) -> float:

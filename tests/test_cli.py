@@ -81,6 +81,15 @@ class TestSimulate:
         assert flags["out"] == str(out_csv)
         assert not [k for k in flags if k.startswith("_")]
 
+    def test_oversized_circulant_is_exit_2(self, tmp_path, capsys):
+        # the default fine mesh of 2**14 per axis would need a 2**30-cell circulant
+        out_csv = tmp_path / "p.csv"
+        code, _, err = run(capsys, "simulate", "--q", "2", "--hurst", "0.7,0.7",
+                           "--grid", "512", "--out", str(out_csv))
+        assert code == 2
+        assert "exceeds the sampler cap" in err
+        assert not out_csv.exists()
+
 
 class TestOU:
     def test_limit_cov_value(self, capsys):
@@ -173,6 +182,27 @@ class TestContract:
         assert flags["threads"] == 2
         flags["threads"] = 1  # the only difference the thread count may make
         texts = [json.dumps(p, sort_keys=True) for p in payloads]
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_simulate_csv_byte_identical_and_thread_independent(self, tmp_path, capsys):
+        out_csv = tmp_path / "p.csv"
+        csvs, manifests = [], []
+        for threads in ("1", "1", "2"):
+            code, _, _ = run(capsys, "simulate", "--q", "2", "--hurst", "0.7", "--grid", "64",
+                             "--reps", "3", "--n-internal", "1024", "--out", str(out_csv),
+                             "--seed", "5", "--threads", threads)
+            assert code == 0
+            csvs.append(out_csv.read_bytes())
+            with open(str(out_csv) + ".manifest.json") as fh:
+                p = json.load(fh)
+            for key in ("started", "finished"):
+                p["manifest"].pop(key)
+            manifests.append(p)
+        assert csvs[0] == csvs[1] == csvs[2]
+        flags = manifests[2]["manifest"]["flags"]
+        assert flags["threads"] == 2
+        flags["threads"] = 1
+        texts = [json.dumps(p, sort_keys=True) for p in manifests]
         assert texts[0] == texts[1] == texts[2]
 
     @pytest.mark.parametrize("argv,expected", [

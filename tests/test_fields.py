@@ -174,6 +174,34 @@ class TestHermiteSheet:
         z = simulate_hermite_sheet(HermiteSpec(2, (0.7, 0.8)), g, 128, derive_stream(SEED, 0))
         assert z.values[0, 0] == 0.0
 
+    def test_gaussian_sheet_is_the_q1_stride1_hermite_sheet(self):
+        g = GridSpec([0, 0], [1, 2], [64, 96])  # n_internal 64 rounds to stride 1 on both
+        for rep in range(2):
+            B = simulate_fractional_gaussian_sheet((0.6, 0.8), g, derive_stream(SEED + 8, rep))
+            Z = simulate_hermite_sheet(HermiteSpec(1, (0.6, 0.8)), g, 64,
+                                       derive_stream(SEED + 8, rep))
+            assert B.values.tobytes() == Z.values.tobytes()
+            assert B.meta.internal == Z.meta.internal == 96
+
+    def test_circulant_cap_refused_before_allocation(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(fields, "_circulant_eigs", reached)
+        stream = derive_stream(SEED, 0)
+        big = GridSpec([0, 0], [1, 1], [512, 512])
+        with pytest.raises(ResourceError):  # (2 * 2**14)**2 = 2**30 circulant cells
+            simulate_hermite_sheet(HermiteSpec(2, (0.7, 0.7)), big, 2**14, stream)
+        with pytest.raises(ResourceError):
+            simulate_fractional_gaussian_sheet((0.7, 0.3), GridSpec([0, 0], [1, 1], [4097, 4096]),
+                                               stream)
+        with pytest.raises(Reached):  # exactly SHEET_CELL_CAP cells is served
+            simulate_fractional_gaussian_sheet((0.7, 0.3), GridSpec([0, 0], [1, 1], [4096, 4096]),
+                                               stream)
+
 
 class TestChaosOracle:
     def grid(self):

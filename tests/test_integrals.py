@@ -7,9 +7,10 @@ from hermlab.core import (
     DomainError,
     ExpWindow,
     GridSpec,
+    HeatWindow,
     HermiteSpec,
     IndicatorBox,
-    LimitScenario,
+    Marginal,
     Tabulated,
     TruncationError,
     derive_stream,
@@ -18,7 +19,6 @@ from hermlab.fields import simulate_hermite_sheet
 from hermlab.integrals import (
     WienerFunctional,
     covered_mass_fraction,
-    mixed_limit_sampler,
     wiener_hermite_integral,
 )
 from hermlab.quadrature import QuadratureConfig, inner_product_HH
@@ -89,6 +89,17 @@ class TestWienerIntegral:
         expect = (1 - math.exp(-0.5)) / (1 - math.exp(-1.0))
         assert frac == pytest.approx(expect, abs=0.01)
 
+    def test_mass_fraction_skips_eval_inside_grid_box(self, monkeypatch):
+        f = HeatWindow(1.0, (0.0, 0.0), 4.0)
+        lo, hi = f.support()
+        g = GridSpec(lo, hi - lo, [16, 16, 16])
+
+        def fail(pts):
+            raise AssertionError("integrand evaluated for a support inside the grid box")
+
+        monkeypatch.setattr(f.__class__, "eval", fail)
+        assert covered_mass_fraction(f, g) == 1.0
+
 
 class TestWienerFunctional:
     def test_equals_one_shot_integral_bit_for_bit(self):
@@ -118,32 +129,49 @@ class TestWienerFunctional:
 
 class TestMixedLimit:
     def test_unit_square_reduces_to_endpoint(self):
-        f = IndicatorBox([0, 0], [1, 1])
-        sc = LimitScenario(a_axes=(0,), fixed={1: 0.7})
+        f = Marginal(IndicatorBox([0, 0], [1, 1]), (0,))
         lower = field(rep=3, salt=3, steps=256)
-        x = mixed_limit_sampler(f, sc, lower)
+        x = WienerFunctional(f, lower.grid)(lower)
         assert x == pytest.approx(lower.values[-1], rel=1e-9)
 
     def test_zero_integrand(self):
         g = GridSpec([0, 0], [1, 1], [8, 8])
-        z = Tabulated(g, np.zeros((9, 9)))
-        sc = LimitScenario(a_axes=(0,), fixed={1: 0.7})
-        assert mixed_limit_sampler(z, sc, field(rep=4, salt=4, steps=64)) == 0.0
+        z = Marginal(Tabulated(g, np.zeros((9, 9))), (0,))
+        lower = field(rep=4, salt=4, steps=64)
+        assert WienerFunctional(z, lower.grid)(lower) == 0.0
 
     def test_variance_matches_high_H_quadrature(self):
         f = IndicatorBox([0, 0.25], [1, 0.75])
-        sc = LimitScenario(a_axes=(0,), fixed={1: 0.7})
-        xs = np.array([
-            mixed_limit_sampler(f, sc, field(rep=i, salt=5, steps=256)) for i in range(1200)
-        ])
+        W = WienerFunctional(Marginal(f, (0,)), GridSpec(0.0, 1.0, 256))
+        xs = np.array([W(field(rep=i, salt=5, steps=256)) for i in range(1200)])
         quad = inner_product_HH(f, f, (0.99, 0.7), QuadratureConfig(panels=128))
         se = np.std((xs - xs.mean()) ** 2) / math.sqrt(len(xs))
         assert abs(xs.var() - quad) < 4 * se + 0.03 * quad
 
     def test_k_equals_d_rejected(self):
-        f = IndicatorBox([0], [1])
         with pytest.raises(DomainError):
-            mixed_limit_sampler(f, LimitScenario(a_axes=(0,)), field())
+            Marginal(IndicatorBox([0], [1]), (0,))
+
+    def test_marginal_values_and_support(self):
+        # piecewise-linear in u with kinks on panel edges: the midpoint rule
+        # integrates it exactly, so the marginal is the trapezoid sum of u^2
+        g = GridSpec([0, 0], [1, 2], [8, 4])
+        u, v = np.meshgrid(g.axis_nodes(0), g.axis_nodes(1), indexing="ij")
+        m = Marginal(Tabulated(g, u**2 + v), [0])
+        nodes = g.axis_nodes(0)
+        trapz = float(np.sum((nodes[:-1] ** 2 + nodes[1:] ** 2) / 2) / 8)
+        vs = np.array([[0.1], [0.75], [1.9]])
+        assert np.allclose(m.eval(vs), trapz + vs[:, 0], rtol=1e-12, atol=0)
+        assert m.d == 1 and m.axes == (0,)
+        lo, hi = m.support()
+        assert list(lo) == [0.0] and list(hi) == [2.0]
+        box = Marginal(IndicatorBox([0, 0.25], [1, 0.75]), (1,), panels=16)
+        assert box.eval(0.3) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("axes", [(), (0, 0), (2,), (-1,)])
+    def test_bad_axes_rejected(self, axes):
+        with pytest.raises(DomainError):
+            Marginal(IndicatorBox([0, 0], [1, 1]), axes)
 
 
 class TestDistributionalLimits:

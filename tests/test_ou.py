@@ -9,7 +9,6 @@ from hermlab.ou import (
     OUSpec,
     ou_limit_covariance,
     ou_limit_rv_H1,
-    ou_window,
     simulate_hou,
 )
 from hermlab.quadrature import QuadratureConfig, inner_product_HH
@@ -24,13 +23,6 @@ class TestSpec:
             OUSpec(lam=0.0, sigma=1.0, q=2, H=0.7)
         with pytest.raises(DomainError):
             OUSpec(lam=1.0, sigma=1.0, q=2, H=0.4)
-
-    def test_window(self):
-        spec = OUSpec(lam=2.0, sigma=1.0, q=2, H=0.7)
-        w = ou_window(spec, 1.0)
-        assert w.lam == 2.0 and w.lo == 0.0
-        st = OUSpec(lam=2.0, sigma=1.0, q=2, H=0.7, stationary=True, M=5.0)
-        assert ou_window(st, 1.0).lo == -5.0
 
 
 class TestNonstationary:
@@ -130,7 +122,7 @@ class TestStationary:
             simulate_hou(spec, g, derive_stream(SEED + 5, i), 2**13).values[-1]
             for i in range(1500)
         ])
-        w = ou_window(spec, 1.0)
+        w = ExpWindow(1.0, 1.0, lo=-10.0)
         quad = inner_product_HH(w, w, 0.7, QuadratureConfig(panels=1024))
         se = np.std((xs - xs.mean()) ** 2) / math.sqrt(len(xs))
         assert abs(xs.var() - quad) < 4 * se + 0.02 * quad

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
 from hermlab.core import (
@@ -83,10 +84,16 @@ class TestInnerProduct:
         v2 = inner_product_HH(EXP, EXP, 0.7, QuadratureConfig(panels=512))
         assert abs(v2 - v1) < 1e-6
 
-    def test_midpoint_mode_agrees(self):
-        a = inner_product_HH(EXP, EXP, 0.7, QuadratureConfig(panels=256))
-        b = inner_product_HH(EXP, EXP, 0.7, QuadratureConfig(panels=256, mode="midpoint"))
-        assert b == pytest.approx(a, rel=1e-3)
+    def test_exp_window_matches_algebraic_weight_quad(self):
+        # <f,f> = H(2H-1) int_0^1 p^(2H-2) (e^-p - e^(p-2)) dp for f = ExpWindow(1, 1),
+        # by the substitution p = |u - v|; QUADPACK integrates the p^(2H-2)
+        # endpoint singularity through its algebraic weight
+        for H in (0.55, 0.7, 0.9):
+            tail, _ = quad(lambda p: math.exp(-p) - math.exp(p - 2.0), 0.0, 1.0,
+                           weight="alg", wvar=(2 * H - 2, 0.0), epsabs=0.0, epsrel=1e-12)
+            exact = H * (2 * H - 1) * tail
+            v = inner_product_HH(EXP, EXP, H, QuadratureConfig(panels=256))
+            assert v == pytest.approx(exact, rel=1e-5)
 
     def test_hurst_out_of_range(self):
         with pytest.raises(DomainError):
@@ -131,9 +138,9 @@ class TestToeplitzKernel:
     # the last edge of linspace(0.2, 0.9, n+1) is one rounding off the step grid
     @pytest.mark.parametrize("lo,hi", [(0.0, 0.7), (0.3, 1.1), (0.2, 0.9)])
     @pytest.mark.parametrize("n", [100, 1000])
-    @pytest.mark.parametrize("mode", ["exact_cell", "midpoint"])
-    def test_values_match_four_corner_off_dyadic(self, monkeypatch, lo, hi, n, mode):
-        cfg = QuadratureConfig(panels=n, mode=mode)
+    @pytest.mark.parametrize("rule", ["exact_cell"])  # the one panel rule; case ids name it
+    def test_values_match_four_corner_off_dyadic(self, monkeypatch, lo, hi, n, rule):
+        cfg = QuadratureConfig(panels=n)
         cases = [(IndicatorBox(lo, hi), H) for H in (0.51, 0.75)]
         cases += [(ExpWindow(1.0, hi, lo), H) for H in (0.51, 0.75)]
         if n == 100:

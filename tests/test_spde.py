@@ -13,6 +13,7 @@ from hermlab.core import (
     UnsupportedError,
     derive_stream,
 )
+from hermlab import spde
 from hermlab.fields import simulate_hermite_sheet
 from hermlab.quadrature import QuadratureConfig, inner_product_HH
 from hermlab.spde import (
@@ -206,6 +207,17 @@ class TestLimits:
         assert np.all(np.isfinite(xs))
         assert abs(xs.mean()) < 4 * xs.std() / math.sqrt(len(xs))
         assert xs.var() > 0.01
+
+    def test_limit_functional_built_once_per_window_and_grid(self):
+        sc = LimitScenario(a_axes=(0,))
+        g = GridSpec(0.0, 1.0, 64)
+        spec = HermiteSpec(2, HurstMultiIndex(0.7))
+        spde._limit_functional.cache_clear()
+        for i in range(3):
+            lower = simulate_hermite_sheet(spec, g, 256, derive_stream(SEED + 6, i))
+            heat_limit_sampler_H1(sc, 0.7, 1.0, 0.0, lower, outer_panels=16)
+        info = spde._limit_functional.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_case1_sampler_variance_matches_high_H_quadrature(self):
         # d=2, spatial axis 0 to 1 (with time), axis 1 fixed at 0.7

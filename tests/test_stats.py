@@ -8,7 +8,6 @@ from hermlab.stats import (
     collect_samples,
     excess_kurtosis,
     ks_distance,
-    mc_report,
     report_from_samples,
     target_cdf_hermite_limit,
 )
@@ -16,13 +15,14 @@ from hermlab.stats import (
 
 class TestMCReport:
     def test_constant_sampler(self):
-        rep = mc_report(lambda s: 3.0, 100, 1)
+        rep = report_from_samples(collect_samples(lambda s: 3.0, 100, 1), 1)
         assert rep.mean == 3.0
         assert rep.variance == 0.0
         assert rep.stderr_mean == 0.0
 
     def test_standard_normal_mean(self):
-        rep = mc_report(lambda s: float(s.standard_normal()), 10**5, 1)
+        rep = report_from_samples(
+            collect_samples(lambda s: float(s.standard_normal()), 10**5, 1), 1)
         assert abs(rep.mean) < 4 / math.sqrt(10**5)
 
     def test_chaos_variance_within_stderr(self):
@@ -30,21 +30,21 @@ class TestMCReport:
             z = float(s.standard_normal())
             return (z * z - 1.0) / math.sqrt(2.0)
 
-        rep = mc_report(sampler, 10**5, 2)
+        rep = report_from_samples(collect_samples(sampler, 10**5, 2), 2)
         assert abs(rep.variance - 1.0) < 4 * rep.stderr_variance
 
     def test_thread_count_invariance(self):
         def sampler(s):
             return float(s.standard_normal(16).sum())
 
-        r1 = mc_report(sampler, 500, 7, threads=1)
-        r4 = mc_report(sampler, 500, 7, threads=4)
+        r1 = report_from_samples(collect_samples(sampler, 500, 7, threads=1), 7)
+        r4 = report_from_samples(collect_samples(sampler, 500, 7, threads=4), 7)
         assert r1.mean == r4.mean
         assert r1.variance == r4.variance
 
     def test_n_too_small(self):
         with pytest.raises(DomainError):
-            mc_report(lambda s: 0.0, 1, 0)
+            report_from_samples(collect_samples(lambda s: 0.0, 1, 0), 0)
 
 
 class TestKurtosis:
@@ -120,3 +120,13 @@ class TestCollect:
         samples = collect_samples(lambda s: float(s.standard_normal()), 10, 42)
         expected = [float(derive_stream(42, i).standard_normal()) for i in range(10)]
         assert np.allclose(samples, expected)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_vector_sampler_matches_stacked_loop(self, threads):
+        def sampler(s):
+            return s.standard_normal(3) * np.arange(1.0, 4.0)
+
+        samples = collect_samples(sampler, 25, 42, threads=threads)
+        expected = np.stack([sampler(derive_stream(42, i)) for i in range(25)])
+        assert samples.shape == (25, 3)
+        assert samples.tobytes() == expected.tobytes()
