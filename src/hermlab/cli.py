@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import (
@@ -27,10 +28,9 @@ from .core import (
     LimitScenario,
     ResourceError,
     UnsupportedError,
-    derive_stream,
     write_fields_csv,
 )
-from . import acceptance
+from . import acceptance, fields
 from .fields import simulate_fractional_gaussian_sheet, simulate_hermite_sheet
 from .integrals import WienerFunctional
 from .ou import OUSpec, ou_limit_covariance, simulate_hou
@@ -67,6 +67,11 @@ def _manifest(args: argparse.Namespace, started: float) -> dict:
         "flags": {k: (list(v) if isinstance(v, tuple) else v) for k, v in flags.items()},
         "seed": args.seed,
         "version": __version__,
+        "runtime": {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "fft_workers": fields._FFT_WORKERS,
+        },
         "started": started,
         "finished": time.time(),
     }
@@ -116,21 +121,21 @@ def _cmd_simulate(args) -> dict:
         raise DomainError("q must be >= 1")
     d = len(hurst)
     grid = GridSpec([0.0] * d, [args.t_max] * d, [args.grid] * d)
-    fields = []
-    for rep in range(args.reps):
-        stream = derive_stream(args.seed, rep)
-        if args.q == 1 and any(h <= 0.5 for h in hurst):
-            field = simulate_fractional_gaussian_sheet(hurst, grid, stream)
-        else:
-            spec = HermiteSpec(args.q, HurstMultiIndex(hurst))
-            field = simulate_hermite_sheet(spec, grid, args.n_internal, stream)
-        fields.append(field)
-    write_fields_csv(args.out, fields)
+    gaussian = args.q == 1 and any(h <= 0.5 for h in hurst)
+    spec = None if gaussian else HermiteSpec(args.q, HurstMultiIndex(hurst))
+
+    def sampler(stream):
+        if gaussian:
+            return simulate_fractional_gaussian_sheet(hurst, grid, stream).values
+        return simulate_hermite_sheet(spec, grid, args.n_internal, stream).values
+
+    values = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
+    write_fields_csv(args.out, grid, values)
     return {
         "rows": int(np.prod(grid.shape)),
         "reps": args.reps,
         "csv": args.out,
-        "origin_value": float(fields[0].values.reshape(-1)[0]),
+        "origin_value": float(values[0].reshape(-1)[0]),
     }
 
 
@@ -389,7 +394,8 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         payload = args.func(args)
-    except (DomainError, UnsupportedError, ResourceError, RuntimeError, OSError, ValueError) as exc:
+    except (DomainError, UnsupportedError, ResourceError, RuntimeError, OSError, ValueError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args, started)

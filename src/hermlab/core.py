@@ -486,20 +486,18 @@ def derive_stream(master_seed: int, replicate_index: int) -> np.random.Generator
 # CSV serialization of fields
 # ---------------------------------------------------------------------------
 
-def write_fields_csv(path, fields: Sequence[RandomField]) -> None:
-    """One row per grid node: axis coordinates then one value column per field."""
-    if not fields:
-        raise DomainError("nothing to write")
-    grid = fields[0].grid
-    for f in fields:
-        if f.grid != grid:
-            raise DomainError("all fields must share one grid")
+def write_fields_csv(path, grid: GridSpec, values: np.ndarray) -> None:
+    """One row per grid node: axis coordinates then one value column per
+    field; values stacks the fields, shape (n_fields, *grid.shape)."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != grid.d + 1 or values.shape[1:] != grid.shape or not len(values):
+        raise DomainError(f"values shape {values.shape} is not (n, *{grid.shape})")
     axes = [grid.axis_nodes(a) for a in range(grid.d)]
     coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.d)
     cols = [coords[:, a] for a in range(grid.d)]
-    cols += [f.values.reshape(-1) for f in fields]
+    cols += [v.reshape(-1) for v in values]
     header = [f"axis{a}" for a in range(grid.d)]
-    header += ["value"] if len(fields) == 1 else [f"value_{i}" for i in range(len(fields))]
+    header += ["value"] if len(values) == 1 else [f"value_{i}" for i in range(len(values))]
     data = np.column_stack(cols)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

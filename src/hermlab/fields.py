@@ -9,10 +9,12 @@ mesh into grid cells, and cumulatively summed over the grid.  The fractional
 Gaussian sheet is its q = 1 case at one fine cell per grid cell.  The base
 correlation is chosen so the transformed increments carry the exact
 fractional-sheet covariance, making Var Z(node) = node^(2H) at every grid
-node in expectation.  Gaussian arrays come from circulant embedding driven
-by real white noise through rfftn/irfftn, which keeps the embedded
-covariance exact.  Direct discretization of the chaos kernel is
-O(cells^q) and lives only in the ChaosKernel oracle.
+node in expectation.  Gaussian arrays come from circulant embedding drawn
+in the spectral domain: the half spectrum of real white noise is itself a
+complex Gaussian array of known law, so it is drawn directly, scaled per
+frequency plane and sent through one axis-by-axis inverse real FFT, which
+keeps the embedded covariance exact.  Direct discretization of the chaos
+kernel is O(cells^q) and lives only in the ChaosKernel oracle.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ _CACHE_LOCK = threading.Lock()
 _FFT_WORKERS = max(1, os.cpu_count() or 1)
 _CACHE_SIZE = 8
 _EIG_CACHE: dict = {}  # (H, q, n) -> per-axis circulant eigenvalues
-_SQRT_EIG_CACHE: dict = {}  # sampler key -> half-spectrum sqrt eigenvalue tensor
+_SQRT_EIG_CACHE: dict = {}  # sampler key -> half-spectrum scale of the spectral draw
 
 
 CHAOS_CELL_CAP = 2**21
@@ -119,12 +121,18 @@ def _circulant_eigs(H: float, n: int, q: int = 1) -> np.ndarray:
     return _cached(_EIG_CACHE, (round(H, 12), q, n), compute)
 
 
-def _sqrt_eig_half(eigs: Sequence[np.ndarray], key) -> np.ndarray:
-    """Square root of the separable eigenvalue tensor, cut to the half
-    spectrum [..., :m//2+1] along the last axis that the real FFT pair uses."""
-    half = list(eigs[:-1]) + [eigs[-1][: len(eigs[-1]) // 2 + 1]]
-    return _cached(_SQRT_EIG_CACHE, key,
-                   lambda: np.sqrt(functools.reduce(np.multiply.outer, half)))
+def _spectral_scale(eigs: Sequence[np.ndarray], key) -> np.ndarray:
+    """Per-bin scale of the spectral draw in _stationary_unit_field, with M
+    the circulant size and lam the separable eigenvalue tensor cut to the
+    half spectrum [..., :m_last//2+1]."""
+
+    def compute():
+        m = len(eigs[-1])
+        last = eigs[-1][: m // 2 + 1] * (0.5 * math.prod(len(e) for e in eigs))
+        last[[0, -1]] *= 2.0
+        return np.sqrt(functools.reduce(np.multiply.outer, list(eigs[:-1]) + [last]))
+
+    return _cached(_SQRT_EIG_CACHE, key, compute)
 
 
 def _stationary_unit_field(
@@ -133,15 +141,21 @@ def _stationary_unit_field(
     """Unit-variance stationary Gaussian array with separable correlation
     prod_a rho_a, sampled by d-dimensional circulant embedding.
 
-    With C = F^-1 diag(lam) F the circulant covariance, x = C^(1/2) w for
-    real white noise w, and C^(1/2) = F^-1 diag(sqrt lam) F is real, so
-    Cov x = C exactly; the first half of each axis carries the target.
-    The inverse transform is irfftn taken one axis at a time, so the unused
-    second half of each leading axis is dropped before the next pass.
+    With C = F^-1 diag(lam) F the circulant covariance, C^(1/2) w for real
+    white noise w has Cov = C exactly, and its half spectrum is
+    sqrt(lam) rfftn(w).  That half spectrum is drawn directly: z has i.i.d.
+    standard normal real and imaginary parts, and bins inside the last axis
+    are scaled by sqrt(M lam / 2) while the k_last = 0 and m_last/2 planes,
+    whose imaginary parts the inverse real FFT drops after the leading axes,
+    are scaled by sqrt(M lam).  The output is linear in the noise and its
+    covariance is C exactly; the first half of each axis carries the target.
+    The inverse is irfftn taken one axis at a time, so the unused second
+    half of each leading axis is dropped before the next pass.
     """
     shape = tuple(len(e) for e in eigs)
-    x = sfft.rfftn(stream.standard_normal(shape), workers=_FFT_WORKERS)
-    x *= _sqrt_eig_half(eigs, cache_key)
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
+    x = stream.standard_normal(half + (2,)).view(np.complex128)[..., 0]
+    x *= _spectral_scale(eigs, cache_key)
     for a, m in enumerate(shape[:-1]):
         x = sfft.ifft(x, axis=a, workers=_FFT_WORKERS, overwrite_x=True)
         x = x[(slice(None),) * a + (slice(0, m // 2),)]

@@ -2,9 +2,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+import scipy
 
-from hermlab import acceptance
+from hermlab import acceptance, cli, fields
 from hermlab.cli import main
 
 
@@ -157,6 +159,11 @@ class TestContract:
             for key in ("started", "finished"):
                 p["manifest"].pop(key)
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
+        assert p1["manifest"]["runtime"] == {
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "fft_workers": fields._FFT_WORKERS,
+        }
 
     @pytest.mark.parametrize("argv", [
         ["integral", "--hurst", "0.7", "--reps", "40", "--grid", "64",
@@ -204,6 +211,32 @@ class TestContract:
         flags["threads"] = 1
         texts = [json.dumps(p, sort_keys=True) for p in manifests]
         assert texts[0] == texts[1] == texts[2]
+
+    def test_simulate_passes_threads_to_collect_samples(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def spy(sampler, n, seed, threads=1):
+            seen.append(threads)
+            return collect(sampler, n, seed, threads=threads)
+
+        collect = cli.collect_samples
+        monkeypatch.setattr(cli, "collect_samples", spy)
+        code, _, _ = run(capsys, "simulate", "--q", "2", "--hurst", "0.7", "--grid", "16",
+                         "--reps", "2", "--n-internal", "64", "--out", str(tmp_path / "p.csv"),
+                         "--threads", "2")
+        assert code == 0
+        assert seen == [2]
+
+    def test_memory_error_is_exit_2(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("cannot allocate the fine mesh")
+
+        monkeypatch.setattr(cli, "simulate_hermite_sheet", exhausted)
+        code, out, err = run(capsys, "integral", "--hurst", "0.7", "--reps", "4", "--grid", "64",
+                             "--n-internal", "1024", "--panels", "64")
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot allocate the fine mesh\n"
 
     @pytest.mark.parametrize("argv,expected", [
         (["verify", "--seed", "0"], 0),

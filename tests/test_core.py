@@ -160,7 +160,7 @@ class TestCSV:
     def test_roundtrip_shape(self, tmp_path):
         fld = make_field(np.arange(9.0).reshape(3, 3))
         path = tmp_path / "f.csv"
-        write_fields_csv(path, [fld])
+        write_fields_csv(path, fld.grid, fld.values[None])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "axis0,axis1,value"
         assert len(lines) == 1 + 9

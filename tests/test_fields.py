@@ -257,14 +257,17 @@ class TestCirculant:
         right = rectangle_increment(f, (4, 0), (8, 8))
         assert whole == pytest.approx(left + right, abs=1e-10)
 
-    @pytest.mark.parametrize("shape,hursts", [((32,), (0.7,)), ((8, 4), (0.7, 0.6))])
+    @pytest.mark.parametrize("shape,hursts", [
+        ((32,), (0.7,)), ((8, 4), (0.7, 0.6)), ((6, 4, 4), (0.7, 0.6, 0.8)),
+    ])
     def test_real_noise_embedding_covariance_is_exact(self, shape, hursts, monkeypatch):
-        # the sampler is linear in its white noise w, so its covariance is A A^T
-        # with column j the output for the unit vector e_j
+        # the sampler is linear in its noise, 2 prod(half) normals drawn as
+        # the real and imaginary parts of the half spectrum, so its covariance
+        # is A A^T with column j the output for the unit noise vector e_j
         monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
         q = 2
         eigs = [fields._circulant_eigs(h, n, q) for h, n in zip(hursts, shape)]
-        m = [2 * n for n in shape]
+        half = tuple(2 * n for n in shape[:-1]) + (shape[-1] + 1,)
 
         class Unit:
             def __init__(self, j):
@@ -277,7 +280,7 @@ class TestCirculant:
 
         A = np.stack([
             fields._stationary_unit_field(eigs, Unit(j), ("test", shape)).reshape(-1)
-            for j in range(int(np.prod(m)))
+            for j in range(2 * math.prod(half))
         ], axis=1)
         target = np.ones((1, 1))
         for h, n in zip(hursts, shape):
@@ -288,11 +291,21 @@ class TestCirculant:
         monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
         shape = (16, 12, 8)
         eigs = [fields._circulant_eigs(0.7, m // 2, 2) for m in shape]
-        w = derive_stream(SEED, 12).standard_normal(shape)
-        sq = np.sqrt(np.multiply.outer(np.multiply.outer(eigs[0], eigs[1]), eigs[2][:5]))
-        ref = sfft.irfftn(sq * sfft.rfftn(w), s=shape)[:8, :6, :4]
+        half = (16, 12, 5)
+        z = derive_stream(SEED, 12).standard_normal(half + (2,)).view(np.complex128)[..., 0]
+        scale = fields._spectral_scale(eigs, ("test", shape))
+        ref = sfft.irfftn(scale * z, s=shape)[:8, :6, :4]
         got = fields._stationary_unit_field(eigs, derive_stream(SEED, 12), ("test", shape))
         assert np.allclose(got, ref, rtol=0, atol=1e-13)
+
+    def test_2d_sheet_independent_of_fft_workers(self, monkeypatch):
+        g = GridSpec([0, 0], [1, 1], [32, 32])
+        spec = HermiteSpec(2, (0.7, 0.8))
+        draws = []
+        for workers in (1, 2):
+            monkeypatch.setattr(fields, "_FFT_WORKERS", workers)
+            draws.append(simulate_hermite_sheet(spec, g, 256, derive_stream(SEED, 13)).values)
+        assert draws[0].tobytes() == draws[1].tobytes()
 
     def test_block_sum_matches_fine_cumsum_at_grid_nodes(self):
         rng = np.random.default_rng(5)
