@@ -36,17 +36,16 @@ from .stats import collect_samples, excess_kurtosis, ks_distance, target_cdf_her
 MASTER_SEED = 20260810
 
 
-def _wiener_samples(q, H, n, seed, grid_steps=512, n_internal=2**14, lam=1.0, t=1.0, salt=0):
-    """MC samples of int exp_window dZ^q_H via the Riemann-Stieltjes sum."""
-    grid = GridSpec(0.0, t, grid_steps)
-    functional = WienerFunctional(ExpWindow(lam, t), grid)
+def _wiener_samples(q, H, n, seed, threads, n_internal=2**14, salt=0):
+    """MC samples of int exp_window(1, 1) dZ^q_H via the Riemann-Stieltjes sum, 512 steps."""
+    grid = GridSpec(0.0, 1.0, 512)
+    functional = WienerFunctional(ExpWindow(1.0, 1.0), grid)
     spec = HermiteSpec(q, HurstMultiIndex(H))
-    return collect_samples(
-        lambda s: functional(simulate_hermite_sheet(spec, grid, n_internal, s)), n, seed + salt
-    )
+    return collect_samples(lambda s: functional(simulate_hermite_sheet(spec, grid, n_internal, s)),
+                           n, seed + salt, threads)
 
 
-def crit_1_fbm_covariance(seed: int, fast: bool):
+def crit_1_fbm_covariance(seed: int, fast: bool, threads: int | None = None):
     """fBm H=0.7 grid 512: empirical covariance at 5x5 nodes within 3 MC
     standard errors of R_H, 2000 replicates."""
     n = 2000
@@ -54,7 +53,7 @@ def crit_1_fbm_covariance(seed: int, fast: bool):
     grid = GridSpec(0.0, 1.0, steps)
     nodes = [64, 128, 256, 384, 512]
     paths = collect_samples(
-        lambda s: simulate_fractional_gaussian_sheet(H, grid, s).values[nodes], n, seed
+        lambda s: simulate_fractional_gaussian_sheet(H, grid, s).values[nodes], n, seed, threads
     )
     worst = 0.0
     for a in range(5):
@@ -67,7 +66,7 @@ def crit_1_fbm_covariance(seed: int, fast: bool):
     return worst <= 3.0, f"max |emp-R_H|/stderr = {worst:.2f} over 25 node pairs (gate 3)"
 
 
-def crit_2_hermite_variance(seed: int, fast: bool):
+def crit_2_hermite_variance(seed: int, fast: bool, threads: int | None = None):
     """Rosenblatt (q=2) d=1 H=0.7: Var Z(t) within 10% of t^1.4 at t=0.5, 1.
 
     Z(1) has excess kurtosis near 10, so the sample variance has relative
@@ -77,25 +76,25 @@ def crit_2_hermite_variance(seed: int, fast: bool):
     grid = GridSpec(0.0, 1.0, 512)
     spec = HermiteSpec(2, HurstMultiIndex(0.7))
     vals = collect_samples(
-        lambda s: simulate_hermite_sheet(spec, grid, 2**14, s).values[[256, 512]], n, seed
+        lambda s: simulate_hermite_sheet(spec, grid, 2**14, s).values[[256, 512]], n, seed, threads
     )
     rel = [vals[:, j].var() / (t ** 1.4) - 1.0 for j, t in enumerate((0.5, 1.0))]
     ok = max(abs(r) for r in rel) <= 0.10
     return ok, f"Var/t^1.4 - 1: t=0.5 -> {rel[0]:+.3f}, t=1 -> {rel[1]:+.3f} (gate 0.10)"
 
 
-def crit_3_isometry(seed: int, fast: bool):
+def crit_3_isometry(seed: int, fast: bool, threads: int | None = None):
     """Wiener-integral isometry: f=exp_window(1,1), q=2, H=0.7, 5000 reps:
     MC variance within 10% of the inner-product quadrature."""
     n = 5000
-    samples = _wiener_samples(2, 0.7, n, seed)
+    samples = _wiener_samples(2, 0.7, n, seed, threads)
     quad = inner_product_HH(ExpWindow(1.0, 1.0), ExpWindow(1.0, 1.0), 0.7,
                             QuadratureConfig(panels=512))
     rel = samples.var() / quad - 1.0
     return abs(rel) <= 0.10, f"MC/quadrature - 1 = {rel:+.3f} (quad {quad:.5f}, gate 0.10)"
 
 
-def crit_4_half_limit_quadrature(seed: int, fast: bool):
+def crit_4_half_limit_quadrature(seed: int, fast: bool, threads: int | None = None):
     """OU window variance along H in {0.75,0.65,0.55,0.51}: monotone toward
     int f^2 = (1-e^-2)/2 and within 2% at H=0.51."""
     f = ExpWindow(1.0, 1.0)
@@ -113,7 +112,7 @@ def crit_4_half_limit_quadrature(seed: int, fast: bool):
     )
 
 
-def crit_5_ou_one_limit(seed: int, fast: bool):
+def crit_5_ou_one_limit(seed: int, fast: bool, threads: int | None = None):
     """OU H->1 (q=2): Var Y(1) at H=0.99 within 5% of (1-1/e)^2 and KS to the
     (1-1/e)(Z^2-1)/sqrt(2) law decreasing along H in {0.9, 0.95, 0.99}."""
     n_var = 12000
@@ -121,7 +120,8 @@ def crit_5_ou_one_limit(seed: int, fast: bool):
     target = (1.0 - math.exp(-1.0)) ** 2
     grid = GridSpec(0.0, 1.0, 512)
     spec99 = OUSpec(lam=1.0, sigma=1.0, q=2, H=0.99)
-    y99 = collect_samples(lambda s: simulate_hou(spec99, grid, s, 2**14).values[-1], n_var, seed)
+    y99 = collect_samples(lambda s: simulate_hou(spec99, grid, s, 2**14).values[-1], n_var, seed,
+                          threads)
     rel = y99.var() / target - 1.0
     cdf = target_cdf_hermite_limit(2)
     scale = 1.0 - math.exp(-1.0)
@@ -129,7 +129,7 @@ def crit_5_ou_one_limit(seed: int, fast: bool):
     for j, h in enumerate((0.9, 0.95, 0.99)):
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=h)
         ys = collect_samples(lambda s: simulate_hou(spec, grid, s, 2**13).values[-1],
-                             n_ks, seed + 1 + j)
+                             n_ks, seed + 1 + j, threads)
         ks.append(ks_distance(ys / scale, cdf))
     decreasing = ks[0] > ks[1] > ks[2]
     ok = abs(rel) <= 0.05 and decreasing
@@ -139,7 +139,7 @@ def crit_5_ou_one_limit(seed: int, fast: bool):
     )
 
 
-def crit_6_heat_white_noise(seed: int, fast: bool):
+def crit_6_heat_white_noise(seed: int, fast: bool, threads: int | None = None):
     """Heat equation d=1: quadrature at H0=H1=0.51 within 5% of 1/sqrt(pi);
     MC variance of the mild solution at H0=H1=0.55 within 15% of quadrature."""
     n = 300 if fast else 1500
@@ -148,7 +148,7 @@ def crit_6_heat_white_noise(seed: int, fast: bool):
     rel_q = abs(q51 - limit) / limit
     spec = HeatSpec(2, 0.55, (0.55,), trunc=4.0, t_steps=512, x_steps=512, n_internal=512)
     quad = heat_covariance_quadrature(spec, 1.0, 1.0)
-    us = collect_samples(lambda s: sample_mild_solution(spec, 1.0, 0.0, s), n, seed)
+    us = collect_samples(lambda s: sample_mild_solution(spec, 1.0, 0.0, s), n, seed, threads)
     rel_mc = us.var() / quad - 1.0
     ok = rel_q <= 0.05 and abs(rel_mc) <= 0.15
     return ok, (
@@ -157,7 +157,7 @@ def crit_6_heat_white_noise(seed: int, fast: bool):
     )
 
 
-def crit_7_power_counting(seed: int, fast: bool):
+def crit_7_power_counting(seed: int, fast: bool, threads: int | None = None):
     """Cycle-system verdicts as exact rationals: d0(T)=4H-1, dinf(empty)=3-4g
     at H=3/5, g=4/5; verdict flips exactly at H=1/4 and g=3/4."""
     H, g = Fraction(3, 5), Fraction(4, 5)
@@ -177,7 +177,7 @@ def crit_7_power_counting(seed: int, fast: bool):
     return bool(ok), "d0(T)=7/5, dinf(empty)=-1/5; flips exactly at H=1/4 and gamma=3/4"
 
 
-def crit_8_fourth_moment(seed: int, fast: bool):
+def crit_8_fourth_moment(seed: int, fast: bool, threads: int | None = None):
     """Excess kurtosis: (Z^2-1)/sqrt(2) -> 12 within 1.5; N(0,1) -> 0 within
     0.1; q=2 OU integral |excess| smaller at H=0.55 than at H=0.75."""
     n = 10**5
@@ -186,10 +186,8 @@ def crit_8_fourth_moment(seed: int, fast: bool):
     z2 = derive_stream(seed + 101, 0).standard_normal(n)
     k_norm = excess_kurtosis(z2)
     n_ou = 5000
-    k55 = excess_kurtosis(_wiener_samples(2, 0.55, n_ou, seed, grid_steps=512,
-                                          n_internal=2**13, salt=2))
-    k75 = excess_kurtosis(_wiener_samples(2, 0.75, n_ou, seed, grid_steps=512,
-                                          n_internal=2**13, salt=3))
+    k55 = excess_kurtosis(_wiener_samples(2, 0.55, n_ou, seed, threads, n_internal=2**13, salt=2))
+    k75 = excess_kurtosis(_wiener_samples(2, 0.75, n_ou, seed, threads, n_internal=2**13, salt=3))
     ok = abs(k_chaos - 12.0) <= 1.5 and abs(k_norm) <= 0.1 and abs(k55) < abs(k75)
     return ok, (
         f"chaos {k_chaos:.2f} (12 +- 1.5), normal {k_norm:.3f} (0 +- 0.1), "
@@ -197,7 +195,7 @@ def crit_8_fourth_moment(seed: int, fast: bool):
     )
 
 
-def crit_9_chaos_oracle(seed: int, fast: bool):
+def crit_9_chaos_oracle(seed: int, fast: bool, threads: int | None = None):
     """On a 32-cell grid, q=2 oracle variance within 4 stderr of the
     off-diagonal isometry value 2 ||f||^2 for 3 test kernels."""
     n = 10000
@@ -211,7 +209,7 @@ def crit_9_chaos_oracle(seed: int, fast: bool):
     ]
     details, ok = [], True
     for j, K in enumerate(kernels):
-        samp = collect_samples(lambda s: chaos_oracle_sample(K, s), n, seed + j)
+        samp = collect_samples(lambda s: chaos_oracle_sample(K, s), n, seed + j, threads)
         target = 2.0 * K.offdiag_norm_sq()
         xc = samp - samp.mean()
         se = math.sqrt(max(np.mean(xc**4) - np.mean(xc**2) ** 2, 0.0) / n)
@@ -221,7 +219,7 @@ def crit_9_chaos_oracle(seed: int, fast: bool):
     return bool(ok), f"variance z-scores {details} (gate |z| <= 4)"
 
 
-def crit_10_existence_table(seed: int, fast: bool):
+def crit_10_existence_table(seed: int, fast: bool, threads: int | None = None):
     """Existence condition evaluated exactly on 10 hand-built cases,
     including the boundary d=3, gamma_cond=3.0 -> reject."""
     cases = [
@@ -259,15 +257,16 @@ CRITERIA: list[tuple[int, str, Callable]] = [
 ]
 
 
-def run_all(seed: int | None = MASTER_SEED, fast: bool = False) -> bool:
+def run_all(seed: int | None = MASTER_SEED, fast: bool = False, threads: int | None = None) -> bool:
     """Run every criterion, print one pass/fail line each, return overall.
-    seed None runs MASTER_SEED; every other value, 0 included, is used as is."""
+    seed None runs MASTER_SEED; every other value, 0 included, is used as is.
+    threads goes to every collect_samples call (None: one per CPU)."""
     if seed is None:
         seed = MASTER_SEED
     all_ok = True
     for num, name, fn in CRITERIA:
         t0 = time.perf_counter()
-        ok, detail = fn(seed, fast)
+        ok, detail = fn(seed, fast, threads)
         dt = time.perf_counter() - t0
         all_ok &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:2d} ({name}): {detail} [{dt:.1f}s]")

@@ -30,7 +30,7 @@ from .core import (
     UnsupportedError,
     write_fields_csv,
 )
-from . import acceptance, fields
+from . import acceptance, stats
 from .fields import simulate_fractional_gaussian_sheet, simulate_hermite_sheet
 from .integrals import WienerFunctional
 from .ou import OUSpec, ou_limit_covariance, simulate_hou
@@ -70,7 +70,7 @@ def _manifest(args: argparse.Namespace, started: float) -> dict:
         "runtime": {
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "fft_workers": fields._FFT_WORKERS,
+            "threads": stats.resolve_threads(args.threads),
         },
         "started": started,
         "finished": time.time(),
@@ -103,11 +103,6 @@ def _resolve_seed(args) -> int:
     return acceptance.MASTER_SEED if args.command == "verify" else 0
 
 
-def _threads(args) -> int:
-    n = getattr(args, "threads", None)
-    return n if n else (os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -129,7 +124,7 @@ def _cmd_simulate(args) -> dict:
             return simulate_fractional_gaussian_sheet(hurst, grid, stream).values
         return simulate_hermite_sheet(spec, grid, args.n_internal, stream).values
 
-    values = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
+    values = collect_samples(sampler, args.reps, args.seed, threads=args.threads)
     write_fields_csv(args.out, grid, values)
     return {
         "rows": int(np.prod(grid.shape)),
@@ -157,7 +152,7 @@ def _cmd_integral(args) -> dict:
     def sampler(stream):
         return functional(simulate_hermite_sheet(spec, grid, args.n_internal, stream))
 
-    samples = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
+    samples = collect_samples(sampler, args.reps, args.seed, threads=args.threads)
     rep = report_from_samples(samples, args.seed)
     quad = inner_product_HH(f, f, hurst, QuadratureConfig(panels=args.panels))
     out = rep.as_dict()
@@ -202,7 +197,7 @@ def _cmd_sweep(args) -> dict:
                 field = simulate_hermite_sheet(spec, spec_grid, args.n_internal, stream)
                 return functional(field)
 
-            samples = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
+            samples = collect_samples(sampler, args.reps, args.seed, threads=args.threads)
             mc_vars.append(float(np.var(samples)))
             if args.target == "one":
                 ks_vals.append(ks_distance(samples / f_int, cdf))
@@ -236,7 +231,7 @@ def _cmd_heat(args) -> dict:
         def sampler(stream):
             return sample_mild_solution(spec, args.t, x, stream)
 
-        samples = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
+        samples = collect_samples(sampler, args.reps, args.seed, threads=args.threads)
         rep = report_from_samples(samples, args.seed)
         result.update({f"mc_{k}": v for k, v in rep.as_dict().items()})
         result["mc_over_quadrature"] = rep.variance / result["quadrature_covariance"]
@@ -257,7 +252,7 @@ def _cmd_ou(args) -> dict:
     def sampler(stream):
         return float(simulate_hou(spec, grid, stream, args.n_internal).values[-1])
 
-    samples = collect_samples(sampler, args.reps, args.seed, threads=_threads(args))
+    samples = collect_samples(sampler, args.reps, args.seed, threads=args.threads)
     rep = report_from_samples(samples, args.seed)
     out = rep.as_dict()
     kind = "stationary" if args.stationary else "nonstationary"
@@ -277,7 +272,7 @@ def _cmd_powercount(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    ok = acceptance.run_all(seed=args.seed, fast=args.fast)
+    ok = acceptance.run_all(seed=args.seed, fast=args.fast, threads=args.threads)
     if not ok:
         raise DomainError("acceptance suite failed")
     return {"acceptance": "pass"}
@@ -296,7 +291,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=None,
                         help="master seed (fallback: HERMLAB_SEED, then 0; for verify, "
                              "then the acceptance MASTER_SEED)")
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None, help="default: one per CPU")
         sp.add_argument("--out", default=out_default)
 
     sp = sub.add_parser("simulate", help="Hermite sheet paths -> CSV")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -40,7 +39,6 @@ from .core import (
 )
 
 _CACHE_LOCK = threading.Lock()
-_FFT_WORKERS = max(1, os.cpu_count() or 1)
 _CACHE_SIZE = 8
 _EIG_CACHE: dict = {}  # (H, q, n) -> per-axis circulant eigenvalues
 _SQRT_EIG_CACHE: dict = {}  # sampler key -> half-spectrum scale of the spectral draw
@@ -157,9 +155,9 @@ def _stationary_unit_field(
     x = stream.standard_normal(half + (2,)).view(np.complex128)[..., 0]
     x *= _spectral_scale(eigs, cache_key)
     for a, m in enumerate(shape[:-1]):
-        x = sfft.ifft(x, axis=a, workers=_FFT_WORKERS, overwrite_x=True)
+        x = sfft.ifft(x, axis=a, overwrite_x=True)
         x = x[(slice(None),) * a + (slice(0, m // 2),)]
-    x = sfft.irfft(x, n=shape[-1], axis=-1, workers=_FFT_WORKERS)
+    x = sfft.irfft(x, n=shape[-1], axis=-1)
     return x[..., : shape[-1] // 2]
 
 

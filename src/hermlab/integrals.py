@@ -1,10 +1,10 @@
 """Wiener integrals against simulated Hermite sheets.
 
-Every Wiener integral in the package (a plain integral, an OU value, a
-heat mild solution, the H -> 1 limit object int Marginal(f, A) dZ^(q,d-k))
-is one WienerFunctional: the integrand's midpoint weights on a grid,
-checked once for truncation, then dotted with the cell increments of each
-replicate's field.
+A plain integral, a heat mild solution and the H -> 1 limit object
+int Marginal(f, A) dZ^(q,d-k) are each one WienerFunctional: the integrand's
+midpoint weights on a grid, checked once for truncation, then dotted with the
+cell increments of each replicate's field.  An OU path (ou.simulate_hou)
+takes its own cumulative midpoint Riemann-Stieltjes sum instead.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .core import (
 )
 
 MASS_TOL = 0.01
+MASS_CHECK_POINTS = 2**21  # 128 panels per axis up to d = 3
 
 
 def riemann_weights(f: Integrand, grid: GridSpec) -> np.ndarray:
@@ -31,18 +32,18 @@ def riemann_weights(f: Integrand, grid: GridSpec) -> np.ndarray:
     return f.eval(midpoint_mesh([grid.axis_nodes(a) for a in range(grid.d)]))
 
 
-def covered_mass_fraction(f: Integrand, grid: GridSpec, panels: int = 128) -> float:
+def covered_mass_fraction(f: Integrand, grid: GridSpec) -> float:
     """Fraction of the L1 mass of f captured inside the grid box; 1 without
     evaluating f when its support box lies inside the grid box (up to a
-    1e-12 relative slack on the box corners)."""
+    1e-12 relative slack on the box corners).  Otherwise f is evaluated at
+    the midpoints of the largest p <= 128 panels per axis with p^d <= MASS_CHECK_POINTS."""
     lo_f, hi_f = f.support()
     lo_g, hi_g = grid.lo(), grid.hi()
     slack = 1e-12 * (hi_g - lo_g)
     if np.all(lo_f >= lo_g - slack) and np.all(hi_f <= hi_g + slack):
         return 1.0
-    if np.isscalar(panels):
-        panels = [panels] * f.d
-    pts = midpoint_mesh([np.linspace(lo_f[a], hi_f[a], panels[a] + 1) for a in range(f.d)])
+    panels = next(p for p in range(128, 0, -1) if p**f.d <= MASS_CHECK_POINTS)
+    pts = midpoint_mesh([np.linspace(lo_f[a], hi_f[a], panels + 1) for a in range(f.d)])
     vals = np.abs(f.eval(pts))
     total = float(vals.sum())
     if total == 0.0:

@@ -18,7 +18,7 @@ from .core import (
     HurstMultiIndex,
     RandomField,
 )
-from .fields import hermite_poly, simulate_hermite_sheet
+from .fields import sample_hermite_limit_rv, simulate_hermite_sheet
 
 XiSpec = Union[float, tuple]
 
@@ -142,10 +142,8 @@ def ou_limit_rv_H1(
         raise DomainError("need lam > 0 and sigma > 0")
     if kind == "nonstationary":
         xi_val = draw_xi(xi, stream)
-        z = float(stream.standard_normal())
-        hq = float(hermite_poly(q, z)) / math.sqrt(math.factorial(q))
+        hq = sample_hermite_limit_rv(q, stream)
         return math.exp(-lam * t) * xi_val + sigma * (1.0 - math.exp(-lam * t)) * hq
     if kind == "stationary":
-        z = float(stream.standard_normal())
-        return sigma / lam * float(hermite_poly(q, z)) / math.sqrt(math.factorial(q))
+        return sigma / lam * sample_hermite_limit_rv(q, stream)
     raise DomainError(f"unknown OU kind {kind!r}")

@@ -1,13 +1,14 @@
 """Monte Carlo estimation and distributional diagnostics.
 
 Replicates are tied to their index through derive_stream, so results are
-bit-identical for a fixed (sampler, n, seed) regardless of how many worker
-threads computed them: samples land in a preallocated list by index and the
-aggregation is a fixed pairwise reduction over that array.
+bit-identical for a fixed (sampler, n, seed) at any thread count: samples land
+in a preallocated list by index and are reduced in a fixed order.
+collect_samples alone sets the thread count: one per CPU by default.
 """
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -43,16 +44,22 @@ class MCReport:
         }
 
 
+def resolve_threads(threads: int | None) -> int:
+    """Replicate threads collect_samples runs: threads if nonzero, else one per CPU."""
+    return max(1, int(threads or os.cpu_count() or 1))
+
+
 def collect_samples(
     sampler: Callable[[np.random.Generator], float | np.ndarray],
     n: int,
     master_seed: int,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> np.ndarray:
     """Evaluate sampler on n derived streams; sample i always uses stream i.
 
     A scalar sampler gives shape (n,); a sampler returning a fixed-shape
-    array gives shape (n, *that shape)."""
+    array gives shape (n, *that shape).  Runs resolve_threads(threads)
+    threads, one per CPU by default."""
     if n < 1:
         raise DomainError("need at least one replicate")
     out = [None] * n
@@ -61,7 +68,7 @@ def collect_samples(
         for i in range(lo, hi):
             out[i] = sampler(derive_stream(master_seed, i))
 
-    threads = max(1, int(threads))
+    threads = resolve_threads(threads)
     if threads == 1:
         run(0, n)
     else:

@@ -35,7 +35,7 @@ def test_acceptance_criterion(num, name, fn, capsys):
 def test_run_all_uses_the_given_seed(given, expected, monkeypatch, capsys):
     seen = []
 
-    def stub(seed, fast):
+    def stub(seed, fast, threads=None):
         seen.append(seed)
         return True, "stub"
 

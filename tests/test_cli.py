@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy
 
-from hermlab import acceptance, cli, fields
+from hermlab import acceptance, cli
 from hermlab.cli import main
+from hermlab.stats import collect_samples
 
 
 def run(capsys, *argv):
@@ -20,26 +21,33 @@ def load_json(out_text):
     return json.loads(out_text)
 
 
-class TestPowercount:
-    def cycle_path(self, tmp_path):
-        data = {
-            "m": 4,
-            "functionals": [
-                {"coeffs": ["1", "-1", "0", "0"]},
-                {"coeffs": ["0", "1", "-1", "0"]},
-                {"coeffs": ["0", "0", "1", "-1"]},
-                {"coeffs": ["-1", "0", "0", "1"]},
-            ],
-            "alphas": ["H-1"] * 4,
-            "betas": ["-gamma"] * 4,
-        }
-        path = tmp_path / "cycle.json"
-        path.write_text(json.dumps(data))
-        return str(path)
+def strip_timestamps(payload):
+    for key in ("started", "finished"):
+        payload["manifest"].pop(key)
+    return payload
 
+
+def cycle_path(tmp_path):
+    data = {
+        "m": 4,
+        "functionals": [
+            {"coeffs": ["1", "-1", "0", "0"]},
+            {"coeffs": ["0", "1", "-1", "0"]},
+            {"coeffs": ["0", "0", "1", "-1"]},
+            {"coeffs": ["-1", "0", "0", "1"]},
+        ],
+        "alphas": ["H-1"] * 4,
+        "betas": ["-gamma"] * 4,
+    }
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestPowercount:
     def test_paper_values(self, tmp_path, capsys):
         code, out, _ = run(
-            capsys, "powercount", "--spec", self.cycle_path(tmp_path),
+            capsys, "powercount", "--spec", cycle_path(tmp_path),
             "--H", "3/5", "--gamma", "4/5",
         )
         assert code == 0
@@ -50,7 +58,7 @@ class TestPowercount:
         assert payload["dinf_empty"] == "-1/5"
 
     def test_unresolved_symbol_is_error(self, tmp_path, capsys):
-        code, _, err = run(capsys, "powercount", "--spec", self.cycle_path(tmp_path))
+        code, _, err = run(capsys, "powercount", "--spec", cycle_path(tmp_path))
         assert code == 2
         assert "error" in err
 
@@ -140,6 +148,13 @@ class TestHeat:
         assert "error" in err
 
 
+def set_thread_count_aside(payload):
+    """The only difference a --threads 2 run may show against --threads 1."""
+    manifest = payload["manifest"]
+    assert manifest["flags"]["threads"] == manifest["runtime"]["threads"] == 2
+    manifest["flags"]["threads"] = manifest["runtime"]["threads"] = 1
+
+
 class TestContract:
     def test_usage_error_exit_1(self, capsys):
         code, _, err = run(capsys, "nonsense")
@@ -154,16 +169,22 @@ class TestContract:
                 "--seed", "11"]
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
-        p1, p2 = load_json(out1), load_json(out2)
-        for p in (p1, p2):
-            for key in ("started", "finished"):
-                p["manifest"].pop(key)
+        p1, p2 = strip_timestamps(load_json(out1)), strip_timestamps(load_json(out2))
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
         assert p1["manifest"]["runtime"] == {
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "fft_workers": fields._FFT_WORKERS,
+            "threads": os.cpu_count() or 1,
         }
+
+    def test_powercount_payload_byte_identical(self, tmp_path, capsys):
+        args = ["powercount", "--spec", cycle_path(tmp_path), "--H", "3/5", "--gamma", "4/5"]
+        texts = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *args)
+            assert code == 0
+            texts.append(json.dumps(strip_timestamps(load_json(out)), sort_keys=True))
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("argv", [
         ["integral", "--hurst", "0.7", "--reps", "40", "--grid", "64",
@@ -181,13 +202,8 @@ class TestContract:
         for threads in ("1", "1", "2"):
             code, out, _ = run(capsys, *argv, "--seed", "5", "--threads", threads)
             assert code == 0
-            p = load_json(out)
-            for key in ("started", "finished"):
-                p["manifest"].pop(key)
-            payloads.append(p)
-        flags = payloads[2]["manifest"]["flags"]
-        assert flags["threads"] == 2
-        flags["threads"] = 1  # the only difference the thread count may make
+            payloads.append(strip_timestamps(load_json(out)))
+        set_thread_count_aside(payloads[2])
         texts = [json.dumps(p, sort_keys=True) for p in payloads]
         assert texts[0] == texts[1] == texts[2]
 
@@ -201,15 +217,32 @@ class TestContract:
             assert code == 0
             csvs.append(out_csv.read_bytes())
             with open(str(out_csv) + ".manifest.json") as fh:
-                p = json.load(fh)
-            for key in ("started", "finished"):
-                p["manifest"].pop(key)
-            manifests.append(p)
+                manifests.append(strip_timestamps(json.load(fh)))
         assert csvs[0] == csvs[1] == csvs[2]
-        flags = manifests[2]["manifest"]["flags"]
-        assert flags["threads"] == 2
-        flags["threads"] = 1
+        set_thread_count_aside(manifests[2])
         texts = [json.dumps(p, sort_keys=True) for p in manifests]
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_verify_byte_identical_and_thread_independent(self, capsys, monkeypatch):
+        seen = []
+
+        def stub(seed, fast, threads=None):
+            seen.append(threads)
+            xs = collect_samples(lambda s: s.standard_normal(), 50, seed, threads)
+            return True, f"sum {xs.sum():.17g}"
+
+        monkeypatch.setattr(acceptance, "CRITERIA", [(1, "stub", stub)])
+        lines, payloads = [], []
+        for threads in ("1", "1", "2"):
+            code, out, _ = run(capsys, "verify", "--seed", "5", "--threads", threads)
+            assert code == 0
+            line, text = out.split("\n", 1)
+            lines.append(line.rsplit(" [", 1)[0])  # the criterion's wall time may differ
+            payloads.append(strip_timestamps(load_json(text)))
+        assert seen == [1, 1, 2]
+        assert lines[0] == lines[1] == lines[2]
+        set_thread_count_aside(payloads[2])
+        texts = [json.dumps(p, sort_keys=True) for p in payloads]
         assert texts[0] == texts[1] == texts[2]
 
     def test_simulate_passes_threads_to_collect_samples(self, tmp_path, capsys, monkeypatch):
@@ -245,7 +278,7 @@ class TestContract:
     def test_verify_seed(self, capsys, monkeypatch, argv, expected):
         seen = []
 
-        def stub(seed, fast):
+        def stub(seed, fast, threads=None):
             seen.append(seed)
             return True, "stub"
 

@@ -298,15 +298,6 @@ class TestCirculant:
         got = fields._stationary_unit_field(eigs, derive_stream(SEED, 12), ("test", shape))
         assert np.allclose(got, ref, rtol=0, atol=1e-13)
 
-    def test_2d_sheet_independent_of_fft_workers(self, monkeypatch):
-        g = GridSpec([0, 0], [1, 1], [32, 32])
-        spec = HermiteSpec(2, (0.7, 0.8))
-        draws = []
-        for workers in (1, 2):
-            monkeypatch.setattr(fields, "_FFT_WORKERS", workers)
-            draws.append(simulate_hermite_sheet(spec, g, 256, derive_stream(SEED, 13)).values)
-        assert draws[0].tobytes() == draws[1].tobytes()
-
     def test_block_sum_matches_fine_cumsum_at_grid_nodes(self):
         rng = np.random.default_rng(5)
         incr = rng.standard_normal((12, 8))

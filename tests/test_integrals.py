@@ -17,6 +17,7 @@ from hermlab.core import (
 )
 from hermlab.fields import simulate_hermite_sheet
 from hermlab.integrals import (
+    MASS_CHECK_POINTS,
     WienerFunctional,
     covered_mass_fraction,
     wiener_hermite_integral,
@@ -99,6 +100,20 @@ class TestWienerIntegral:
 
         monkeypatch.setattr(f.__class__, "eval", fail)
         assert covered_mass_fraction(f, g) == 1.0
+
+    def test_mass_fraction_point_budget_in_4d(self, monkeypatch):
+        f = IndicatorBox([0.0] * 4, [1.0] * 4)
+        g = GridSpec([0.0] * 4, [0.5, 0.5, 1.0, 1.0], [4] * 4)  # f sticks out on two axes
+        sizes = []
+        box_eval = IndicatorBox.eval
+
+        def spy(self, pts):
+            sizes.append(pts.size // pts.shape[-1])
+            return box_eval(self, pts)
+
+        monkeypatch.setattr(IndicatorBox, "eval", spy)
+        assert covered_mass_fraction(f, g) == pytest.approx(0.25, abs=0.01)
+        assert sizes and max(sizes) <= MASS_CHECK_POINTS
 
 
 class TestWienerFunctional:

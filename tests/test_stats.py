@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hermlab.stats import (
     excess_kurtosis,
     ks_distance,
     report_from_samples,
+    resolve_threads,
     target_cdf_hermite_limit,
 )
 
@@ -120,6 +122,11 @@ class TestCollect:
         samples = collect_samples(lambda s: float(s.standard_normal()), 10, 42)
         expected = [float(derive_stream(42, i).standard_normal()) for i in range(10)]
         assert np.allclose(samples, expected)
+
+    def test_thread_count_defaults_to_every_cpu(self):
+        assert resolve_threads(None) == resolve_threads(0) == (os.cpu_count() or 1)
+        assert resolve_threads(3) == 3
+        assert resolve_threads(-2) == 1
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_vector_sampler_matches_stacked_loop(self, threads):
