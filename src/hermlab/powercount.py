@@ -190,57 +190,51 @@ class IntegrabilityReport:
         }
 
 
-def _span_closed_subsets(system: FunctionalSystem) -> list[frozenset[int]]:
-    n = system.size
-    out = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            W = frozenset(combo)
-            if span_closure(system, W) == W:
-                out.append(W)
-    return out
-
-
 def check_integrability(system: FunctionalSystem) -> IntegrabilityReport:
     """Evaluate both criteria exactly over the required subsets and return
-    the verdict with the failing witnesses, if any."""
+    the verdict with the failing witnesses, if any.
+
+    Every verdict comes from one table of exact ranks, rank[S] for each
+    subset S of T as a bit mask, each eliminated once: W is span-closed iff
+    adding any i outside W raises the rank, and padded iff removing any i in
+    W keeps it.  Witnesses are listed by size, then in combinations order.
+    """
     n = system.size
     if n > MAX_FUNCTIONALS:
         raise ResourceError(f"|T|={n} exceeds the enumeration cap {MAX_FUNCTIONALS}")
-    closed = _span_closed_subsets(system)
+    rank = [0] * (1 << n)
+    for S in range(1, 1 << n):
+        rank[S] = _rank(_rows(system, (i for i in range(n) if S >> i & 1)))
+    full = (1 << n) - 1
+    zero = Fraction(0)
     padded_only_zero = all(a > -1 for a in system.alphas)
     padded_only_inf = all(b >= -1 for b in system.betas)
+    inconclusive_zero = any(a == -1 for a in system.alphas)
 
     witnesses_zero: list[tuple[int, ...]] = []
-    if any(a == -1 for a in system.alphas):
-        finite_zero: Optional[bool] = None
-    else:
-        for W in closed:
-            if not W:
-                continue
-            if padded_only_zero and not is_padded(system, W):
-                continue
-            if d0(system, W) <= 0:
-                witnesses_zero.append(tuple(sorted(W)))
-        finite_zero = not witnesses_zero
-
     witnesses_inf: list[tuple[int, ...]] = []
-    full = frozenset(range(n))
-    for W in closed:
-        if W == full:
-            continue
-        if padded_only_inf and not is_padded(system, W):
-            continue
-        if d_infinity(system, W) >= 0:
-            witnesses_inf.append(tuple(sorted(W)))
+    for size in range(n + 1):
+        for W in itertools.combinations(range(n), size):
+            S = sum(1 << i for i in W)
+            r = rank[S]
+            if any(rank[S | 1 << i] == r for i in range(n) if not S >> i & 1):
+                continue  # not span-closed
+            padded = all(rank[S & ~(1 << i)] == r for i in W)
+            if W and not inconclusive_zero and (padded or not padded_only_zero):
+                if r + sum((system.alphas[i] for i in W), start=zero) <= 0:
+                    witnesses_zero.append(W)
+            if S != full and (padded or not padded_only_inf):
+                outside = (system.betas[i] for i in range(n) if not S >> i & 1)
+                if rank[full] - r + sum(outside, start=zero) >= 0:
+                    witnesses_inf.append(W)
 
     return IntegrabilityReport(
-        finite_at_zero=finite_zero,
+        finite_at_zero=None if inconclusive_zero else not witnesses_zero,
         finite_at_infinity=not witnesses_inf,
         witnesses_zero=tuple(witnesses_zero),
         witnesses_infinity=tuple(witnesses_inf),
-        d0_full=d0(system, span_closure(system, range(n))),
-        dinf_empty=d_infinity(system, frozenset()),
+        d0_full=Fraction(rank[full]) + sum(system.alphas, start=zero),
+        dinf_empty=Fraction(rank[full]) + sum(system.betas, start=zero),
     )
 
 

@@ -8,9 +8,12 @@ machinery and makes indicator integrands exact for any panel count.
 
 When both edge arrays are equally spaced with one step h, the mass of a panel
 pair depends only on its lag i-j: the antiderivative is evaluated once at the
-n_u+n_v+1 lag positions and the matrix is the Toeplitz expansion of their
-second differences.  Edges with unequal steps take the four-corner formula,
-four antiderivative evaluations per panel pair.
+n_u+n_v+1 lag positions, and their second differences are the n_u+n_v-1 lag
+masses of a Toeplitz kernel.  Contractions apply that kernel by a zero-padded
+real-FFT correlation, O(n log n) per axis line, and never form the matrix.
+Edges with unequal steps take the four-corner formula, four antiderivative
+evaluations per panel pair, and contract the dense matrix.  The dense Toeplitz
+matrix is built only for callers that ask for it (`abs_pow_cell_masses`).
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn
@@ -54,17 +58,19 @@ DEFAULT_CFG = QuadratureConfig()
 # Singular-kernel panel masses
 # ---------------------------------------------------------------------------
 
-def abs_pow_cell_masses(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> np.ndarray:
-    """Exact integrals of |u-v|^c over all panel pairs, c in (-1, 0].
+def _mass_kernel(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> np.ndarray:
+    """Exact integrals of |u-v|^c over all panel pairs, c in (-1, 0], in the
+    form contractions consume: the 1-D lag vector of the Toeplitz kernel when
+    both edge arrays are equally spaced with one step, else the dense matrix.
 
     Uses the double antiderivative Psi(w) = |w|^(c+2) / ((c+1)(c+2)):
     the mass of cell pair [a,b] x [p,q] is Psi(b-p)+Psi(a-q)-Psi(b-q)-Psi(a-p).
-    When both edge arrays are equally spaced with one step (to within a few
-    ulps, as np.linspace leaves them), the pair (i, j) has the mass
-    P[L+1]+P[L-1]-P[L]-P[L] with L = i-j, where P[k] is Psi at the lag
-    u_k - v_0 (k >= 0) or u_0 - v_{-k} (k < 0).  Psi is then evaluated at
-    n_u+n_v+1 lags and the masses form a Toeplitz matrix; the sum runs in the
-    four-corner order, so uniform dyadic edges give bit-identical masses.
+    With one step (to within a few ulps, as np.linspace leaves it), the pair
+    (i, j) has the mass P[L+1]+P[L-1]-P[L]-P[L] with L = i-j, where P[k] is
+    Psi at the lag u_k - v_0 (k >= 0) or u_0 - v_{-k} (k < 0).  Psi is then
+    evaluated at n_u+n_v+1 lags; lag[s] is the mass at L = s-n_v+1.  The sum
+    runs in the four-corner order, so uniform dyadic edges give bit-identical
+    masses.
     """
     if c <= -1.0:
         raise DomainError(f"exponent {c} not integrable across the diagonal")
@@ -72,7 +78,7 @@ def abs_pow_cell_masses(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> n
     def psi(w):
         return np.abs(w) ** (c + 2.0) / ((c + 1.0) * (c + 2.0))
 
-    nu, nv = len(edges_u) - 1, len(edges_v) - 1
+    nu = len(edges_u) - 1
     h = (edges_u[-1] - edges_u[0]) / nu
     if all(
         np.max(np.abs(e - (e[0] + h * np.arange(len(e)))))
@@ -80,12 +86,43 @@ def abs_pow_cell_masses(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> n
         for e in (edges_u, edges_v)
     ):
         p = psi(np.concatenate((edges_u[0] - edges_v[:0:-1], edges_u - edges_v[0])))
-        lag = p[2:] + p[:-2] - p[1:-1] - p[1:-1]  # lag[s] is the mass at L = s-nv+1
-        return toeplitz(lag[nv - 1:], lag[nv - 1::-1])
+        return p[2:] + p[:-2] - p[1:-1] - p[1:-1]
 
     au, bu = edges_u[:-1, None], edges_u[1:, None]
     av, bv = edges_v[None, :-1], edges_v[None, 1:]
     return psi(bu - av) + psi(au - bv) - psi(bu - bv) - psi(au - av)
+
+
+def abs_pow_cell_masses(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> np.ndarray:
+    """The (n_u, n_v) matrix of exact integrals of |u-v|^c over all panel
+    pairs, c in (-1, 0]: the Toeplitz expansion of the lag masses on equal
+    steps, the four-corner masses otherwise (see `_mass_kernel`)."""
+    k = _mass_kernel(edges_u, edges_v, c)
+    if k.ndim == 2:
+        return k
+    nv = len(edges_v) - 1
+    return toeplitz(k[nv - 1:], k[nv - 1::-1])
+
+
+def _apply_lags(T: np.ndarray, lag: np.ndarray, axis: int) -> np.ndarray:
+    """np.tensordot(T, toeplitz(lag[nv-1:], lag[nv-1::-1]), axes=(axis, 0))
+    without the matrix: out[j] = sum_i T[i] lag[i-j+nv-1] is entry nu-1+j of
+    the linear convolution of T with the reversed lags.  Zero padding to
+    n >= nu+nv-1 points keeps the circular wrap-around out of those entries.
+    The result axis goes last, as tensordot puts it."""
+    nu = T.shape[axis]
+    nv = len(lag) - nu + 1
+    n = sfft.next_fast_len(len(lag), real=True)
+    kernel = sfft.rfft(lag[::-1], n).reshape((-1,) + (1,) * (T.ndim - axis - 1))
+    out = sfft.irfft(sfft.rfft(T, n, axis=axis) * kernel, n, axis=axis)
+    return np.moveaxis(out, axis, -1)[..., nu - 1:nu - 1 + nv]
+
+
+def _contract(T: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Contract `axis` of T with a `_mass_kernel` result; the new axis goes last."""
+    if kernel.ndim == 1:
+        return _apply_lags(T, kernel, axis)
+    return np.tensordot(T, kernel, axes=(axis, 0))
 
 
 def _panel_edges(f: Integrand, panels) -> list[np.ndarray]:
@@ -93,14 +130,6 @@ def _panel_edges(f: Integrand, panels) -> list[np.ndarray]:
     if np.isscalar(panels):
         panels = [int(panels)] * f.d
     return [np.linspace(lo[a], hi[a], panels[a] + 1) for a in range(f.d)]
-
-
-def _bilinear_form(F: np.ndarray, G: np.ndarray, mats: Sequence[np.ndarray]) -> float:
-    """sum_{I,J} F[I] G[J] prod_a W_a[i_a, j_a] via successive contractions."""
-    T = F
-    for W in mats:
-        T = np.tensordot(T, W, axes=(0, 0))
-    return float(np.sum(T * G))
 
 
 def _as_hurst_tuple(H) -> tuple[float, ...]:
@@ -132,9 +161,12 @@ def inner_product_HH(f: Integrand, g: Integrand, H, cfg: QuadratureConfig = DEFA
     eg = _panel_edges(g, cfg.panels)
     F = f.eval(midpoint_mesh(ef))
     G = g.eval(midpoint_mesh(eg))
-    mats = [abs_pow_cell_masses(ef[a], eg[a], 2.0 * Hs[a] - 2.0) for a in range(f.d)]
+    # sum_{I,J} F[I] G[J] prod_a W_a[i_a, j_a] by successive contractions
+    T = F
+    for a in range(f.d):
+        T = _contract(T, _mass_kernel(ef[a], eg[a], 2.0 * Hs[a] - 2.0), 0)
     pref = float(np.prod([h * (2.0 * h - 1.0) for h in Hs]))
-    return pref * _bilinear_form(F, G, mats)
+    return pref * float(np.sum(T * G))
 
 
 def hbar_norm(
@@ -182,8 +214,7 @@ def hbar_norm(
         F2 = Fm.reshape(m, *inner_shape)
         T = F2
         for a in inner:
-            W = abs_pow_cell_masses(edges[a], edges[a], 2.0 * Hs[a] - 2.0)
-            T = np.tensordot(T, W, axes=(1, 0))
+            T = _contract(T, _mass_kernel(edges[a], edges[a], 2.0 * Hs[a] - 2.0), 1)
         inner_vals = np.sum(T * F2, axis=tuple(range(1, 1 + len(inner))))
         outer_vol = float(np.prod([widths[a] for a in outer]))
         total += float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0)))) * outer_vol
@@ -306,19 +337,19 @@ def sigma_limit(f: Integrand, scenario: LimitScenario, cfg: QuadratureConfig = D
     scenario.target(0.5, d)  # validates that every axis has a role
     edges = _panel_edges(f, cfg.panels)
     F = f.eval(midpoint_mesh(edges))
-    mats = []
+    T = F
     pref = 1.0
-    for a in range(d):
+    for a in range(d):  # contract axis 0, the new axis goes last, as in inner_product_HH
         h = np.diff(edges[a])
-        if a in scenario.a_axes:
-            mats.append(np.diag(h))
-        elif a in scenario.b_axes:
-            mats.append(np.outer(h, h))
+        if a in scenario.a_axes:  # the diagonal kernel diag(h)
+            T = np.moveaxis(T, 0, -1) * h
+        elif a in scenario.b_axes:  # the rank-one kernel h h^T
+            T = np.tensordot(T, h, axes=(0, 0))[..., None] * h
         else:
             Ha = float(scenario.fixed[a])
-            mats.append(abs_pow_cell_masses(edges[a], edges[a], 2.0 * Ha - 2.0))
+            T = _contract(T, _mass_kernel(edges[a], edges[a], 2.0 * Ha - 2.0), 0)
             pref *= Ha * (2.0 * Ha - 1.0)
-    return pref * _bilinear_form(F, F, mats)
+    return pref * float(np.sum(T * F))
 
 
 def contraction_norm_sq(

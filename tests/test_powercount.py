@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hermlab import powercount
 from hermlab.core import DomainError, ResourceError
 from hermlab.powercount import (
     AffineFunctional,
@@ -22,6 +23,86 @@ def diag_system(alphas, betas):
     m = len(alphas)
     fns = [AffineFunctional([F(int(i == j)) for j in range(m)]) for i in range(m)]
     return FunctionalSystem(m, fns, alphas, betas)
+
+
+def reference_check(system):
+    """The subset enumeration check_integrability replaced: span closures and
+    padding recomputed per subset through the single-subset API."""
+    n = system.size
+    closed = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)
+              if span_closure(system, c) == frozenset(c)]
+    wz = []
+    if any(a == -1 for a in system.alphas):
+        fz = None
+    else:
+        for W in closed:
+            if W and (not all(a > -1 for a in system.alphas) or is_padded(system, W)):
+                if d0(system, W) <= 0:
+                    wz.append(tuple(sorted(W)))
+        fz = not wz
+    wi = [tuple(sorted(W)) for W in closed
+          if W != frozenset(range(n))
+          and (not all(b >= -1 for b in system.betas) or is_padded(system, W))
+          and d_infinity(system, W) >= 0]
+    return {
+        "finite_at_zero": "inconclusive" if fz is None else fz,
+        "finite_at_infinity": not wi,
+        "witnesses_zero": [list(w) for w in wz],
+        "witnesses_infinity": [list(w) for w in wi],
+        "d0_T": str(d0(system, span_closure(system, range(n)))),
+        "dinf_empty": str(d_infinity(system, frozenset())),
+    }
+
+
+def ou_affine_system():
+    t_vals = [F(1, 3), F(1, 7), F(2, 5), F(0)]
+    coeff = [
+        [1, -1, 0, 0],
+        [0, 1, -1, 0],
+        [0, 0, 1, -1],
+        [-1, 0, 0, 1],
+    ]
+    consts = [t_vals[0] - t_vals[1], t_vals[1] - t_vals[2], t_vals[2] - t_vals[3], t_vals[3] - t_vals[0]]
+    H, q, r = F(3, 5), 2, 1
+    a_r = 2 * (H - 1) * r / q
+    a_qr = 2 * (H - 1) * (q - r) / q
+    fns = [AffineFunctional(c, k) for c, k in zip(coeff, consts)]
+    return FunctionalSystem(4, fns, [a_r, a_r, a_qr, a_qr], [-F(4, 5)] * 4)
+
+
+def random_system(rng):
+    """Small integer coefficients, some rows dependent on earlier ones, and
+    exponents on a grid that hits -1 and the flip boundaries d0 = 0, dinf = 0."""
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+    rows = []
+    while len(rows) < n:
+        if rows and rng.random() < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            row = [rng.randint(-2, 2) * x + rng.randint(-1, 1) * y for x, y in zip(a, b)]
+        else:
+            row = [rng.randint(-2, 2) for _ in range(m)]
+        if any(row):
+            rows.append(row)
+    grid = [F(k, 6) for k in range(-12, 4)]
+    alphas = [rng.choice(grid) for _ in range(n)]
+    betas = [rng.choice(grid) for _ in range(n)]
+    consts = [rng.randint(-1, 1) for _ in range(n)]
+    return FunctionalSystem(m, [AffineFunctional(r, k) for r, k in zip(rows, consts)], alphas, betas)
+
+
+FILE_SYSTEMS = [
+    cycle_system(2, 1, F(3, 5), F(4, 5)),
+    cycle_system(3, 1, F(7, 10), F(9, 10)),
+    cycle_system(2, 1, F(1, 5), F(4, 5)),
+    cycle_system(2, 1, F(1, 4), F(4, 5)),
+    cycle_system(2, 1, F(1, 4) + F(1, 10**9), F(4, 5)),
+    cycle_system(2, 1, F(3, 5), F(3, 4)),
+    cycle_system(2, 1, F(3, 5), F(3, 4) + F(1, 10**9)),
+    ou_affine_system(),
+    diag_system([F(-1), F(0)], [F(-2), F(-2)]),
+    diag_system([F(-3, 2), F(1, 2), F(0)], [F(-1), F(-2), F(-11, 10)]),
+    FunctionalSystem(1, [AffineFunctional([1])], [F(-1, 2)], [F(-2)]),
+]
 
 
 class TestTypes:
@@ -153,6 +234,34 @@ class TestCheck:
             rep = check_integrability(FunctionalSystem(4, fns, alphas, betas))
             assert rep.finite_at_zero is True and rep.finite_at_infinity is True
             assert rep.d0_full == F(7, 5)
+
+    @pytest.mark.parametrize("k", range(len(FILE_SYSTEMS)))
+    def test_matches_reference_on_file_systems(self, k):
+        s = FILE_SYSTEMS[k]
+        assert check_integrability(s).as_dict() == reference_check(s)
+
+    def test_matches_reference_on_random_systems(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(240):
+            s = random_system(rng)
+            ref = reference_check(s)
+            assert check_integrability(s).as_dict() == ref
+            seen.add((ref["finite_at_zero"], ref["finite_at_infinity"]))
+            seen.update(w for w in ("d0_T", "dinf_empty") if ref[w] == "0")
+        # both verdicts of each criterion, the inconclusive one and exact zeros were hit
+        assert {"d0_T", "dinf_empty"} <= seen
+        assert {v[0] for v in seen if isinstance(v, tuple)} == {True, False, "inconclusive"}
+        assert {v[1] for v in seen if isinstance(v, tuple)} == {True, False}
+
+    def test_one_elimination_per_nonempty_subset(self, monkeypatch):
+        calls = []
+        rank = powercount._rank
+        monkeypatch.setattr(powercount, "_rank", lambda rows: calls.append(rows) or rank(rows))
+        for s in FILE_SYSTEMS:
+            calls.clear()
+            check_integrability(s)
+            assert len(calls) == 2**s.size - 1
 
     def test_size_cap(self):
         m = 21

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import toeplitz
 
 from hermlab.core import (
     DomainError,
@@ -146,10 +145,11 @@ class TestToeplitzKernel:
         if n == 100:
             cases.append((IndicatorBox([lo, lo], [hi, hi]), (0.6, 0.8)))
         calls = []
-        monkeypatch.setattr(quadrature, "toeplitz", lambda *a: calls.append(a) or toeplitz(*a))
+        apply_lags = quadrature._apply_lags
+        monkeypatch.setattr(quadrature, "_apply_lags", lambda *a: calls.append(a) or apply_lags(*a))
         vals = [inner_product_HH(f, f, H, cfg) for f, H in cases]
         assert len(calls) == sum(f.d for f, _ in cases)  # linspace edges take the lag path
-        monkeypatch.setattr(quadrature, "abs_pow_cell_masses", four_corner_masses)
+        monkeypatch.setattr(quadrature, "_mass_kernel", four_corner_masses)
         refs = [inner_product_HH(f, f, H, cfg) for f, H in cases]
         # One lag's mass is shared by up to n panel pairs, so its rounding is
         # repeated, not averaged: over the 2n lags the gap grows like n^1.5 eps.
@@ -165,6 +165,39 @@ class TestToeplitzKernel:
             target = (hi - lo) ** (2 * H)
             v = inner_product_HH(f, f, H, QuadratureConfig(panels=n))
             assert abs(v - target) <= 1e-11 * target
+
+
+class TestApplyLags:
+    """The FFT correlation against the dense Toeplitz contraction it replaces."""
+
+    @pytest.mark.parametrize("H", [0.51, 0.75])
+    @pytest.mark.parametrize("eu,ev", [
+        (np.linspace(0, 1, 129), np.linspace(0.5, 1.5, 129)),  # offset edges
+        (np.linspace(0, 1, 129), np.linspace(0, 0.5, 65)),  # nu != nv, one step
+        (np.linspace(0, 0.5, 65), np.linspace(0, 1, 129)),
+    ])
+    def test_matches_dense_tensordot(self, eu, ev, H):
+        c = 2 * H - 2
+        lag = quadrature._mass_kernel(eu, ev, c)
+        assert lag.ndim == 1
+        M = abs_pow_cell_masses(eu, ev, c)
+        rng = np.random.default_rng(3)
+        nu = M.shape[0]
+        # rounding of an n-point FFT grows like log2(n) eps, relative to the
+        # largest entry of T times the largest column sum of the masses
+        n_fft = len(eu) + len(ev) - 3
+        gate = 8 * math.log2(n_fft) * np.finfo(float).eps
+        for T, axis in ((rng.standard_normal(nu), 0), (np.ones(nu), 0),
+                        (rng.standard_normal((nu, 5)), 0), (rng.standard_normal((4, nu)), 1)):
+            ref = np.tensordot(T, M, axes=(axis, 0))
+            got = quadrature._apply_lags(T, lag, axis)
+            assert got.shape == ref.shape
+            scale = np.max(np.abs(T)) * np.max(np.sum(M, axis=0))
+            assert np.max(np.abs(got - ref)) <= gate * scale
+
+    def test_unequal_steps_keep_the_dense_matrix(self):
+        k = quadrature._mass_kernel(np.linspace(0, 1, 129), np.linspace(0, 0.5, 129), -0.6)
+        assert k.shape == (128, 128)
 
 
 class TestHbarNorm:
@@ -308,6 +341,36 @@ class TestSigmaLimit:
         f = IndicatorBox([0, 0], [1, 1])
         sc = LimitScenario(a_axes=(0,), b_axes=(1,))
         assert sigma_limit(f, sc, CFG) == pytest.approx(1.0, rel=1e-12)
+
+
+    @pytest.mark.parametrize("d,sc", [
+        (1, LimitScenario(a_axes=(0,))),
+        (2, LimitScenario(a_axes=(0,), fixed={1: 0.7})),
+        (2, LimitScenario(a_axes=(1,), b_axes=(0,))),
+        (3, LimitScenario(a_axes=(0,), b_axes=(2,), fixed={1: 0.6})),
+    ])
+    def test_matches_dense_kernels(self, d, sc):
+        # the former form: diag(h) on A_k axes, outer(h, h) on B_p axes and
+        # the dense singular-kernel masses on fixed axes, by tensordot
+        g = GridSpec([0.0] * d, [1.0 + 0.5 * a for a in range(d)], [8] * d)
+        f = Tabulated(g, np.exp(-np.sum(np.stack(np.meshgrid(
+            *[g.axis_nodes(a) for a in range(d)], indexing="ij")), axis=0)))
+        cfg = QuadratureConfig(panels=64)
+        edges = [np.linspace(lo, hi, 65) for lo, hi in zip(*f.support())]
+        F = f.eval(quadrature.midpoint_mesh(edges))
+        T, pref = F, 1.0
+        for a in range(f.d):
+            h = np.diff(edges[a])
+            if a in sc.a_axes:
+                W = np.diag(h)
+            elif a in sc.b_axes:
+                W = np.outer(h, h)
+            else:
+                W = abs_pow_cell_masses(edges[a], edges[a], 2 * sc.fixed[a] - 2)
+                pref *= sc.fixed[a] * (2 * sc.fixed[a] - 1)
+            T = np.tensordot(T, W, axes=(0, 0))
+        ref = pref * float(np.sum(T * F))
+        assert sigma_limit(f, sc, cfg) == pytest.approx(ref, rel=1e-12)
 
 
 class TestContraction:
