@@ -120,10 +120,6 @@ class GridSpec:
     def axis_nodes(self, a: int) -> np.ndarray:
         return self.origins[a] + np.linspace(0.0, self.extents[a], self.steps[a] + 1)
 
-    def axis_mids(self, a: int) -> np.ndarray:
-        nodes = self.axis_nodes(a)
-        return 0.5 * (nodes[:-1] + nodes[1:])
-
     def cell_volume(self) -> float:
         return float(np.prod(self.mesh))
 
@@ -136,10 +132,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldMeta:
-    """Provenance of a sampled field (spec, seed, generation method, internal mesh)."""
+    """Provenance of a sampled field (spec, generation method, internal mesh)."""
 
     spec: Optional[HermiteSpec]
-    seed: Optional[tuple]
     method: str
     internal: int = 0
 

@@ -13,8 +13,10 @@ node in expectation.  Gaussian arrays come from circulant embedding drawn
 in the spectral domain: the half spectrum of real white noise is itself a
 complex Gaussian array of known law, so it is drawn directly, scaled per
 frequency plane and sent through one axis-by-axis inverse real FFT, which
-keeps the embedded covariance exact.  Direct discretization of the chaos
-kernel is O(cells^q) and lives only in the ChaosKernel oracle.
+keeps the embedded covariance exact.  That per-bin scale is the one cached
+quantity: the cache is keyed by the sampler's exact (H, q, N) and holds at
+most 8 entries.  Direct discretization of the chaos kernel is O(cells^q)
+and lives only in the ChaosKernel oracle.
 """
 from __future__ import annotations
 
@@ -40,8 +42,7 @@ from .core import (
 
 _CACHE_LOCK = threading.Lock()
 _CACHE_SIZE = 8
-_EIG_CACHE: dict = {}  # (H, q, n) -> per-axis circulant eigenvalues
-_SQRT_EIG_CACHE: dict = {}  # sampler key -> half-spectrum scale of the spectral draw
+_SQRT_EIG_CACHE: dict = {}  # (Hs, q, N) -> half-spectrum scale of the spectral draw
 
 
 CHAOS_CELL_CAP = 2**21
@@ -88,7 +89,7 @@ def fgn_autocov(H: float, n: int) -> np.ndarray:
 
 def _cached(cache: dict, key, compute):
     """cache[key], computed on a miss; the oldest entry is evicted once the
-    cache holds _CACHE_SIZE entries, so a sweep over many (H, n) stays bounded."""
+    cache holds _CACHE_SIZE entries, so a sweep over many (H, q, N) stays bounded."""
     with _CACHE_LOCK:
         value = cache.get(key)
     if value is None:
@@ -100,44 +101,43 @@ def _cached(cache: dict, key, compute):
     return value
 
 
-def _circulant_eigs(H: float, n: int, q: int = 1) -> np.ndarray:
+def _circulant_eigs(H: float, n: int, q: int) -> np.ndarray:
     """Eigenvalues of the even circulant extension (length 2n) of the
     correlation rho_H(k)^(1/q) at lags 0..n; negatives below -1e-10 relative
     are an error, above are clamped to 0."""
+    rho = fgn_autocov(H, n) ** (1.0 / q)
+    c = np.concatenate([rho[:n], [rho[n]], rho[n - 1:0:-1]])
+    eig = np.fft.fft(c).real
+    if eig.min() < -1e-10 * eig.max():
+        raise RuntimeError(
+            f"circulant embedding not nonnegative (H={H}, q={q}, n={n}): "
+            f"min eigenvalue {eig.min():.3e}"
+        )
+    return np.maximum(eig, 0.0)
+
+
+def _spectral_scale(Hs: tuple, q: int, N: tuple) -> np.ndarray:
+    """Per-bin scale of the spectral draw in _stationary_unit_field for the
+    circulant of 2 N[a] cells per axis, with M its size and lam the separable
+    eigenvalue tensor cut to the half spectrum [..., :N[-1]+1].  Cached
+    read-only under its exact arguments, since replicate threads share it."""
 
     def compute():
-        rho = fgn_autocov(H, n) ** (1.0 / q)
-        c = np.concatenate([rho[:n], [rho[n]], rho[n - 1:0:-1]])
-        eig = np.fft.fft(c).real
-        if eig.min() < -1e-10 * eig.max():
-            raise RuntimeError(
-                f"circulant embedding not nonnegative (H={H}, q={q}, n={n}): "
-                f"min eigenvalue {eig.min():.3e}"
-            )
-        return np.maximum(eig, 0.0)
-
-    return _cached(_EIG_CACHE, (round(H, 12), q, n), compute)
-
-
-def _spectral_scale(eigs: Sequence[np.ndarray], key) -> np.ndarray:
-    """Per-bin scale of the spectral draw in _stationary_unit_field, with M
-    the circulant size and lam the separable eigenvalue tensor cut to the
-    half spectrum [..., :m_last//2+1]."""
-
-    def compute():
-        m = len(eigs[-1])
-        last = eigs[-1][: m // 2 + 1] * (0.5 * math.prod(len(e) for e in eigs))
+        eigs = [_circulant_eigs(h, n, q) for h, n in zip(Hs, N)]
+        last = eigs[-1][: N[-1] + 1] * (0.5 * math.prod(len(e) for e in eigs))
         last[[0, -1]] *= 2.0
-        return np.sqrt(functools.reduce(np.multiply.outer, list(eigs[:-1]) + [last]))
+        scale = np.sqrt(functools.reduce(np.multiply.outer, eigs[:-1] + [last]))
+        scale.setflags(write=False)
+        return scale
 
-    return _cached(_SQRT_EIG_CACHE, key, compute)
+    return _cached(_SQRT_EIG_CACHE, (Hs, q, N), compute)
 
 
-def _stationary_unit_field(
-    eigs: Sequence[np.ndarray], stream: np.random.Generator, cache_key
-) -> np.ndarray:
+def _stationary_unit_field(scale: np.ndarray, stream: np.random.Generator) -> np.ndarray:
     """Unit-variance stationary Gaussian array with separable correlation
-    prod_a rho_a, sampled by d-dimensional circulant embedding.
+    prod_a rho_a, sampled by d-dimensional circulant embedding from the
+    half-spectrum `scale` of _spectral_scale; the circulant shape is
+    scale.shape with the last axis 2 * (scale.shape[-1] - 1).
 
     With C = F^-1 diag(lam) F the circulant covariance, C^(1/2) w for real
     white noise w has Cov = C exactly, and its half spectrum is
@@ -150,23 +150,14 @@ def _stationary_unit_field(
     The inverse is irfftn taken one axis at a time, so the unused second
     half of each leading axis is dropped before the next pass.
     """
-    shape = tuple(len(e) for e in eigs)
-    half = shape[:-1] + (shape[-1] // 2 + 1,)
-    x = stream.standard_normal(half + (2,)).view(np.complex128)[..., 0]
-    x *= _spectral_scale(eigs, cache_key)
+    shape = scale.shape[:-1] + (2 * (scale.shape[-1] - 1),)
+    x = stream.standard_normal(scale.shape + (2,)).view(np.complex128)[..., 0]
+    x *= scale
     for a, m in enumerate(shape[:-1]):
         x = sfft.ifft(x, axis=a, overwrite_x=True)
         x = x[(slice(None),) * a + (slice(0, m // 2),)]
     x = sfft.irfft(x, n=shape[-1], axis=-1)
     return x[..., : shape[-1] // 2]
-
-
-def _meta_seed(stream):
-    bg = getattr(stream, "bit_generator", None)
-    ss = getattr(bg, "seed_seq", None)
-    if ss is None:
-        return None
-    return (ss.entropy, tuple(ss.spawn_key))
 
 
 def _block_sum(incr: np.ndarray, strides: Sequence[int]) -> np.ndarray:
@@ -190,20 +181,18 @@ def _sheet(Hs, q, grid, strides, stream, spec, method) -> RandomField:
     correlation rho_H(k)^(1/q) on the fine mesh of strides[a] cells per grid
     cell, pushed through H_q, block-summed into grid cells, scaled by
     prod_a fine_mesh_a^(H_a) / sqrt(q!) and cumulatively summed."""
-    N = [st * s for st, s in zip(strides, grid.steps)]
+    N = tuple(st * s for st, s in zip(strides, grid.steps))
     cells = math.prod(2 * n for n in N)
     if cells > SHEET_CELL_CAP:
         raise ResourceError(
             f"circulant of {cells} cells exceeds the sampler cap {SHEET_CELL_CAP}; "
             "lower the grid or the fine mesh"
         )
-    key = tuple((round(h, 12), q, n) for h, n in zip(Hs, N))
-    eigs = [_circulant_eigs(h, n, q) for h, n in zip(Hs, N)]
-    xi = _stationary_unit_field(eigs, stream, cache_key=key)
+    xi = _stationary_unit_field(_spectral_scale(Hs, q, N), stream)
     fine_mesh = [e / n for e, n in zip(grid.extents, N)]
     c = float(np.prod([m**h for m, h in zip(fine_mesh, Hs)])) / math.sqrt(math.factorial(q))
     values = _padded_cumsum(_block_sum(hermite_poly(q, xi), strides) * c)
-    meta = FieldMeta(spec=spec, seed=_meta_seed(stream), method=method, internal=max(N))
+    meta = FieldMeta(spec=spec, method=method, internal=max(N))
     return RandomField(grid=grid, values=values, meta=meta)
 
 

@@ -17,6 +17,7 @@ from .core import (
     HermiteSpec,
     HurstMultiIndex,
     RandomField,
+    midpoint_mesh,
 )
 from .fields import sample_hermite_limit_rv, simulate_hermite_sheet
 
@@ -97,15 +98,14 @@ def simulate_hou(
         HermiteSpec(spec.q, HurstMultiIndex(spec.H)), path_grid, n_internal, stream
     )
     dz = np.diff(z.values)
-    mids = path_grid.axis_mids(0)
+    mids = midpoint_mesh([path_grid.axis_nodes(0)]).reshape(-1)
     integ = np.concatenate([[0.0], np.cumsum(np.exp(spec.lam * mids) * dz)])[m_cells:]
     decay = np.exp(-spec.lam * grid.axis_nodes(0))
     if spec.stationary:
         values, method = spec.sigma * decay * integ, "hou_stationary"
     else:
         values, method = decay * (xi + spec.sigma * integ), "hou"
-    meta = FieldMeta(spec=z.meta.spec, seed=z.meta.seed, method=method,
-                     internal=z.meta.internal)
+    meta = FieldMeta(spec=z.meta.spec, method=method, internal=z.meta.internal)
     return RandomField(grid=grid, values=values, meta=meta)
 
 

@@ -125,11 +125,9 @@ def _contract(T: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     return np.tensordot(T, kernel, axes=(axis, 0))
 
 
-def _panel_edges(f: Integrand, panels) -> list[np.ndarray]:
+def _panel_edges(f: Integrand, panels: int) -> list[np.ndarray]:
     lo, hi = f.support()
-    if np.isscalar(panels):
-        panels = [int(panels)] * f.d
-    return [np.linspace(lo[a], hi[a], panels[a] + 1) for a in range(f.d)]
+    return [np.linspace(lo[a], hi[a], panels + 1) for a in range(f.d)]
 
 
 def _as_hurst_tuple(H) -> tuple[float, ...]:
@@ -381,8 +379,7 @@ def contraction_norm_sq(
             raise DomainError(f"H={H} not in (1/2, 1]")
     n = min(cfg.panels, 64)
     edges = _panel_edges(f, n)[0]
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    Fv = f.eval(mids.reshape(-1, 1))
+    Fv = f.eval(midpoint_mesh([edges]))
     a_exp = 2.0 * (H - 1.0) * r / q
     b_exp = 2.0 * (H - 1.0) * (q - r) / q
     A = abs_pow_cell_masses(edges, edges, a_exp)

@@ -27,7 +27,7 @@ def make_field(values, origins=None, extents=None):
     d = values.ndim
     steps = [s - 1 for s in values.shape]
     grid = GridSpec(origins or [0.0] * d, extents or [1.0] * d, steps)
-    return RandomField(grid, values, FieldMeta(None, None, "test"))
+    return RandomField(grid, values, FieldMeta(None, "test"))
 
 
 class TestTypes:
@@ -57,7 +57,7 @@ class TestTypes:
     def test_field_shape_checked(self):
         g = GridSpec(0, 1, 4)
         with pytest.raises(DomainError):
-            RandomField(g, np.zeros(4), FieldMeta(None, None, "t"))
+            RandomField(g, np.zeros(4), FieldMeta(None, "t"))
 
     def test_scenario_disjointness(self):
         with pytest.raises(DomainError):

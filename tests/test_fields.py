@@ -23,6 +23,7 @@ from hermlab.fields import (
     simulate_fractional_gaussian_sheet,
     simulate_hermite_sheet,
 )
+from hermlab.stats import collect_samples
 
 SEED = 1303
 
@@ -191,6 +192,7 @@ class TestHermiteSheet:
             raise Reached
 
         monkeypatch.setattr(fields, "_circulant_eigs", reached)
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})  # so the first draw misses
         stream = derive_stream(SEED, 0)
         big = GridSpec([0, 0], [1, 1], [512, 512])
         with pytest.raises(ResourceError):  # (2 * 2**14)**2 = 2**30 circulant cells
@@ -266,7 +268,7 @@ class TestCirculant:
         # is A A^T with column j the output for the unit noise vector e_j
         monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
         q = 2
-        eigs = [fields._circulant_eigs(h, n, q) for h, n in zip(hursts, shape)]
+        scale = fields._spectral_scale(hursts, q, shape)
         half = tuple(2 * n for n in shape[:-1]) + (shape[-1] + 1,)
 
         class Unit:
@@ -279,7 +281,7 @@ class TestCirculant:
                 return e
 
         A = np.stack([
-            fields._stationary_unit_field(eigs, Unit(j), ("test", shape)).reshape(-1)
+            fields._stationary_unit_field(scale, Unit(j)).reshape(-1)
             for j in range(2 * math.prod(half))
         ], axis=1)
         target = np.ones((1, 1))
@@ -290,12 +292,12 @@ class TestCirculant:
     def test_axis_by_axis_inverse_matches_irfftn(self, monkeypatch):
         monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
         shape = (16, 12, 8)
-        eigs = [fields._circulant_eigs(0.7, m // 2, 2) for m in shape]
+        scale = fields._spectral_scale((0.7, 0.7, 0.7), 2, tuple(m // 2 for m in shape))
         half = (16, 12, 5)
+        assert scale.shape == half
         z = derive_stream(SEED, 12).standard_normal(half + (2,)).view(np.complex128)[..., 0]
-        scale = fields._spectral_scale(eigs, ("test", shape))
         ref = sfft.irfftn(scale * z, s=shape)[:8, :6, :4]
-        got = fields._stationary_unit_field(eigs, derive_stream(SEED, 12), ("test", shape))
+        got = fields._stationary_unit_field(scale, derive_stream(SEED, 12))
         assert np.allclose(got, ref, rtol=0, atol=1e-13)
 
     def test_block_sum_matches_fine_cumsum_at_grid_nodes(self):
@@ -309,17 +311,51 @@ class TestCirculant:
         assert fields._block_sum(incr, (1, 1)) is incr
 
     def test_eigenvalue_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(fields, "_EIG_CACHE", {})
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
         for n in range(64, 64 + 3 * fields._CACHE_SIZE):
-            fields._circulant_eigs(0.7, n, 2)
-        assert len(fields._EIG_CACHE) == fields._CACHE_SIZE
-        assert (round(0.7, 12), 2, 64 + 3 * fields._CACHE_SIZE - 1) in fields._EIG_CACHE
+            fields._spectral_scale((0.7,), 2, (n,))
+        assert len(fields._SQRT_EIG_CACHE) == fields._CACHE_SIZE
+        assert ((0.7,), 2, (64 + 3 * fields._CACHE_SIZE - 1,)) in fields._SQRT_EIG_CACHE
 
     def test_cached_eigenvalues_skip_the_autocovariance(self, monkeypatch):
-        fields._circulant_eigs(0.65, 100, 2)
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+        g = GridSpec(0, 1, 16)
+        first = simulate_hermite_sheet(HermiteSpec(2, 0.65), g, 100, derive_stream(SEED, 0))
 
         def fail(*args):
             raise AssertionError("autocovariance recomputed on a cache hit")
 
         monkeypatch.setattr(fields, "fgn_autocov", fail)
-        fields._circulant_eigs(0.65, 100, 2)
+        again = simulate_hermite_sheet(HermiteSpec(2, 0.65), g, 100, derive_stream(SEED, 0))
+        assert again.values.tobytes() == first.values.tobytes()
+
+    def test_nearby_hurst_draws_its_own_spectrum(self, monkeypatch):
+        # the cache key is the exact H: a sheet at 0.7 + 4e-13 does not
+        # depend on whether a sheet at 0.7 was drawn earlier in the process
+        g = GridSpec(0, 1, 32)
+
+        def draw(H):
+            return simulate_hermite_sheet(HermiteSpec(2, H), g, 256,
+                                          derive_stream(SEED, 21)).values.tobytes()
+
+        with monkeypatch.context() as m:  # reference drawn with no cache at all
+            m.setattr(fields, "_cached", lambda cache, key, compute: compute())
+            cold = draw(0.7 + 4e-13)
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+        draw(0.7)
+        assert draw(0.7 + 4e-13) == cold
+
+    def test_shared_scale_is_read_only_and_thread_independent(self, monkeypatch):
+        g = GridSpec(0, 1, 16)
+
+        def sampler(stream):
+            return simulate_hermite_sheet(HermiteSpec(2, 0.7), g, 128, stream).values
+
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+            runs.append(collect_samples(sampler, 16, SEED, threads=threads).tobytes())
+        assert runs[0] == runs[1]
+        (scale,) = fields._SQRT_EIG_CACHE.values()
+        with pytest.raises(ValueError):
+            scale[0] = 0.0

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hermlab.core import DomainError, ExpWindow, GridSpec, HermiteSpec, derive_stream
+from hermlab.core import (
+    DomainError,
+    ExpWindow,
+    GridSpec,
+    HermiteSpec,
+    derive_stream,
+    midpoint_mesh,
+)
 from hermlab.fields import simulate_hermite_sheet
 from hermlab.ou import (
     OUSpec,
@@ -84,7 +91,8 @@ class TestStationary:
         m = int(math.ceil(spec.M / h - 1e-12))
         path = GridSpec(-m * h, m * h + 1.0, m + 64)
         z = simulate_hermite_sheet(HermiteSpec(2, 0.7), path, 1024, derive_stream(SEED + 12, 0))
-        dz = np.exp(spec.lam * path.axis_mids(0)) * np.diff(z.values)
+        mids = midpoint_mesh([path.axis_nodes(0)]).reshape(-1)
+        dz = np.exp(spec.lam * mids) * np.diff(z.values)
         integ = np.concatenate([[0.0], np.cumsum(dz)])[m:]
         ref = spec.sigma * np.exp(-spec.lam * g.axis_nodes(0)) * integ
         np.testing.assert_array_equal(x.values, ref)
