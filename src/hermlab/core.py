@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 
 class DomainError(ValueError):
@@ -347,6 +346,7 @@ class Tabulated(Integrand):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "d", grid.d)
+        from scipy.interpolate import RegularGridInterpolator  # only here: it loads scipy.linalg
         interp = RegularGridInterpolator(
             tuple(grid.axis_nodes(a) for a in range(grid.d)),
             table,

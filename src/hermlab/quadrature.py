@@ -23,8 +23,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.integrate import quad
-from scipy.linalg import toeplitz
 from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn
 
 from .core import (
@@ -100,8 +98,13 @@ def abs_pow_cell_masses(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> n
     k = _mass_kernel(edges_u, edges_v, c)
     if k.ndim == 2:
         return k
-    nv = len(edges_v) - 1
-    return toeplitz(k[nv - 1:], k[nv - 1::-1])
+    return _toeplitz(k, len(edges_v) - 1)
+
+
+def _toeplitz(k: np.ndarray, nv: int) -> np.ndarray:
+    """scipy.linalg.toeplitz(k[nv-1:], k[nv-1::-1]) from numpy alone: entry
+    (i, j) is k[i - j + nv - 1], row i the window k[i:i+nv] reversed."""
+    return np.lib.stride_tricks.sliding_window_view(k[::-1], nv)[::-1].copy()
 
 
 def _apply_lags(T: np.ndarray, lag: np.ndarray, axis: int) -> np.ndarray:
@@ -433,6 +436,7 @@ def fbm_time_kernel_integral(t: float, s: float, h0: float, gexp: float) -> floa
     if D == 0.0:
         i2 = (s ** (c + G + 1.0) + t ** (c + G + 1.0)) / (c + G + 1.0)
     else:
+        from scipy.integrate import quad  # only here: it loads scipy.optimize and scipy.sparse
         # p in [0, D]: a complete Beta integral
         i2 = D ** (c + G + 1.0) * float(beta_fn(c + 1.0, G + 1.0))
         # p in [-s, 0] and [D, t]: int_0^s x^a (D+x)^b dx, smooth away from 0

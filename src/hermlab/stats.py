@@ -3,12 +3,14 @@
 Replicates are tied to their index through derive_stream, so results are
 bit-identical for a fixed (sampler, n, seed) at any thread count: samples land
 in a preallocated list by index and are reduced in a fixed order.
-collect_samples alone sets the thread count: one per CPU by default.
+collect_samples alone sets the thread count: one per CPU by default, or one
+when the first replicate is too short for threads to pay.
 """
 from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -18,6 +20,11 @@ from scipy.special import erf, ndtr
 
 from .core import DomainError, derive_stream
 from .fields import hermite_poly
+
+# Replicates this short hold the interpreter lock, so threads only add contention.
+# On a 2-vCPU host a criterion-9 replicate takes 0.05 ms (0.15 ms as the first),
+# the FFT-bound criterion-3 and criterion-8 ones 0.6 to 1 ms.
+SERIAL_BELOW_S = 5e-4
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,8 @@ def collect_samples(
 
     A scalar sampler gives shape (n,); a sampler returning a fixed-shape
     array gives shape (n, *that shape).  Runs resolve_threads(threads)
-    threads, one per CPU by default."""
+    threads.  With threads None, replicate 0 runs on the calling thread first,
+    and the rest run there too if it took less than SERIAL_BELOW_S."""
     if n < 1:
         raise DomainError("need at least one replicate")
     out = [None] * n
@@ -68,11 +76,18 @@ def collect_samples(
         for i in range(lo, hi):
             out[i] = sampler(derive_stream(master_seed, i))
 
+    start = 0
+    if threads is None:
+        t0 = time.perf_counter()
+        run(0, 1)
+        start = 1
+        if time.perf_counter() - t0 < SERIAL_BELOW_S:
+            threads = 1
     threads = resolve_threads(threads)
     if threads == 1:
-        run(0, n)
+        run(start, n)
     else:
-        bounds = np.linspace(0, n, threads + 1).astype(int)
+        bounds = np.linspace(start, n, threads + 1).astype(int)
         with ThreadPoolExecutor(max_workers=threads) as ex:
             futs = [ex.submit(run, bounds[t], bounds[t + 1]) for t in range(threads)]
             for f in futs:

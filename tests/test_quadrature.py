@@ -123,10 +123,20 @@ class TestToeplitzKernel:
         eu, ev = np.linspace(0, 1, 129), np.linspace(0.5, 1.5, 129)
         assert np.array_equal(abs_pow_cell_masses(eu, ev, -0.6), four_corner_masses(eu, ev, -0.6))
 
+    # square, tall and wide, down to one row and one column
+    @pytest.mark.parametrize("nu,nv", [(1, 1), (1, 7), (7, 1), (5, 5), (9, 4), (3, 11), (1024, 512)])
+    def test_numpy_toeplitz_matches_scipy_bit_for_bit(self, nu, nv):
+        import scipy.linalg
+
+        k = np.random.default_rng(nu * 1000 + nv).standard_normal(nu + nv - 1)
+        T = quadrature._toeplitz(k, nv)
+        assert T.shape == (nu, nv) and T.flags.writeable and T.flags.c_contiguous
+        assert T.tobytes() == scipy.linalg.toeplitz(k[nv - 1:], k[nv - 1::-1]).tobytes()
+
     def test_unequal_steps_take_four_corner_path(self, monkeypatch):
         eu, ev = np.linspace(0, 1, 129), np.linspace(0, 0.5, 129)
         calls = []
-        monkeypatch.setattr(quadrature, "toeplitz", lambda *a: calls.append(a))
+        monkeypatch.setattr(quadrature, "_toeplitz", lambda *a: calls.append(a))
         assert np.array_equal(abs_pow_cell_masses(eu, ev, -0.6), four_corner_masses(eu, ev, -0.6))
         assert calls == []
         # the covariance test case runs through this path

@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -127,6 +128,24 @@ class TestCollect:
         assert resolve_threads(None) == resolve_threads(0) == (os.cpu_count() or 1)
         assert resolve_threads(3) == 3
         assert resolve_threads(-2) == 1
+
+    def test_short_replicates_stay_on_the_calling_thread(self):
+        idents = set()
+        samples = collect_samples(lambda s: idents.add(threading.get_ident()) or 3.0, 200, 1)
+        assert idents == {threading.get_ident()}
+        assert np.all(samples == 3.0)
+
+    def test_explicit_threads_are_honoured(self):
+        idents = set()
+        both_in = threading.Barrier(2, timeout=30)
+
+        def sampler(s):
+            idents.add(threading.get_ident())
+            both_in.wait()  # each worker holds one replicate until the other arrives
+            return 3.0
+
+        assert np.all(collect_samples(sampler, 2, 1, threads=2) == 3.0)
+        assert len(idents) == 2 and threading.get_ident() not in idents
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_vector_sampler_matches_stacked_loop(self, threads):
