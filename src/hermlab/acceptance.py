@@ -21,17 +21,16 @@ from .core import (
     GridSpec,
     HermiteSpec,
     HurstMultiIndex,
-    IndicatorBox,
     LimitScenario,
     derive_stream,
 )
 from .fields import ChaosKernel, chaos_oracle_sample, simulate_fractional_gaussian_sheet, simulate_hermite_sheet
 from .integrals import WienerFunctional
-from .ou import OUSpec, simulate_hou
+from .ou import OUSpec, ou_limit_cdf_H1, simulate_hou
 from .powercount import check_integrability, cycle_system, d0, d_infinity
 from .quadrature import QuadratureConfig, inner_product_HH, sigma_limit
 from .spde import HeatSpec, existence_condition, heat_covariance_quadrature, sample_mild_solution
-from .stats import collect_samples, excess_kurtosis, ks_distance, target_cdf_hermite_limit
+from .stats import collect_samples, excess_kurtosis, ks_distance
 
 MASTER_SEED = 20260810
 
@@ -123,14 +122,13 @@ def crit_5_ou_one_limit(seed: int, fast: bool, threads: int | None = None):
     y99 = collect_samples(lambda s: simulate_hou(spec99, grid, s, 2**14).values[-1], n_var, seed,
                           threads)
     rel = y99.var() / target - 1.0
-    cdf = target_cdf_hermite_limit(2)
-    scale = 1.0 - math.exp(-1.0)
+    cdf = ou_limit_cdf_H1("nonstationary", 1.0, 1.0, 1.0, 0.0, 2)
     ks = []
     for j, h in enumerate((0.9, 0.95, 0.99)):
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=h)
         ys = collect_samples(lambda s: simulate_hou(spec, grid, s, 2**13).values[-1],
                              n_ks, seed + 1 + j, threads)
-        ks.append(ks_distance(ys / scale, cdf))
+        ks.append(ks_distance(ys, cdf))
     decreasing = ks[0] > ks[1] > ks[2]
     ok = abs(rel) <= 0.05 and decreasing
     return ok, (

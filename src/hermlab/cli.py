@@ -60,6 +60,8 @@ def _hurst_list(text: str) -> tuple[float, ...]:
 
 
 def _manifest(args: argparse.Namespace, started: float) -> dict:
+    """Run record; runtime.threads is the cap resolve_threads gives, which a
+    default-thread collect_samples call may undercut by running serially."""
     flags = {k: v for k, v in sorted(vars(args).items())
              if k != "func" and not k.startswith("_")}
     return {

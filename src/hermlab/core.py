@@ -286,11 +286,29 @@ class ExpWindow(Integrand):
         return np.where(inside, np.exp(-self.lam * (self.t - u)), 0.0)
 
 
+def green(t, x, d: int = 1):
+    """Heat kernel (2 pi t)^(-d/2) exp(-|x|^2/(2t)) for t > 0, else 0.
+
+    x has shape (..., d) (or is scalar when d=1); t broadcasts against it.
+    """
+    x = np.asarray(x, dtype=float)
+    if d == 1 and (x.ndim == 0 or x.shape[-1] != 1):
+        x = x[..., None]
+    if x.shape[-1] != d:
+        raise DomainError(f"spatial point dimension {x.shape[-1]} != {d}")
+    t = np.asarray(t, dtype=float)
+    r2 = np.sum(x * x, axis=-1)
+    safe = np.where(t > 0.0, t, 1.0)
+    g = (2.0 * math.pi * safe) ** (-d / 2.0) * np.exp(-r2 / (2.0 * safe))
+    out = np.where(t > 0.0, g, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class HeatWindow(Integrand):
     """(u, y) -> 1_{(0,t)}(u) * G(t-u, x-y), the mild-solution window.
 
-    G is the heat kernel on R^{d_s}; the window lives on R^{1+d_s} with the
+    G is the heat kernel `green` on R^{d_s}; the window lives on R^{1+d_s} with the
     time coordinate first.  Spatial support is truncated to |y_a - x_a| <= trunc.
     """
 
@@ -317,17 +335,9 @@ class HeatWindow(Integrand):
     def eval(self, pts):
         pts = self._check_pts(pts)
         u = pts[..., 0]
-        dt = self.t - u
-        ds = len(self.x)
-        r2 = np.zeros_like(u)
-        inside = (u > 0.0) & (dt > 0.0)
-        for a in range(ds):
-            dy = pts[..., 1 + a] - self.x[a]
-            r2 = r2 + dy * dy
-            inside = inside & (np.abs(dy) <= self.trunc)
-        safe = np.where(dt > 0.0, dt, 1.0)
-        g = (2.0 * np.pi * safe) ** (-ds / 2.0) * np.exp(-r2 / (2.0 * safe))
-        return np.where(inside, g, 0.0)
+        dy = pts[..., 1:] - np.asarray(self.x)
+        inside = (u > 0.0) & (self.t - u > 0.0) & np.all(np.abs(dy) <= self.trunc, axis=-1)
+        return np.where(inside, green(self.t - u, dy, len(self.x)), 0.0)
 
 
 @dataclass(frozen=True, eq=False)

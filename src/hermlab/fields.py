@@ -1,6 +1,5 @@
 """Samplers for fractional Gaussian sheets and Hermite sheets, Hermite
-polynomials, the limit variable H_q(Z)/sqrt(q!), and a brute-force multiple
-Wiener-Ito integral oracle.
+polynomials, and a brute-force multiple Wiener-Ito integral oracle.
 
 Every sheet comes from one pipeline, the Hermite-rank construction: a
 long-range-dependent Gaussian array with per-axis transformed Hurst value
@@ -50,7 +49,7 @@ SHEET_CELL_CAP = 2**26  # circulant cells of one sheet draw, 512 MiB per float64
 
 
 # ---------------------------------------------------------------------------
-# Hermite polynomials and the limit variable
+# Hermite polynomials
 # ---------------------------------------------------------------------------
 
 def hermite_poly(q: int, x):
@@ -67,14 +66,6 @@ def hermite_poly(q: int, x):
     if h is x:
         h = x.copy()
     return h if h.ndim else float(h)
-
-
-def sample_hermite_limit_rv(q: int, stream: np.random.Generator) -> float:
-    """One draw of H_q(Z)/sqrt(q!) with Z standard normal (unit variance)."""
-    if q < 1:
-        raise DomainError("chaos order must be >= 1")
-    z = stream.standard_normal()
-    return float(hermite_poly(q, z)) / math.sqrt(math.factorial(q))
 
 
 # ---------------------------------------------------------------------------

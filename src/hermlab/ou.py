@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -17,9 +17,11 @@ from .core import (
     HermiteSpec,
     HurstMultiIndex,
     RandomField,
+    UnsupportedError,
     midpoint_mesh,
 )
-from .fields import sample_hermite_limit_rv, simulate_hermite_sheet
+from .fields import simulate_hermite_sheet
+from .stats import target_cdf_hermite_limit
 
 XiSpec = Union[float, tuple]
 
@@ -124,26 +126,30 @@ def ou_limit_covariance(kind: str, t: float, s: float, lam: float, sigma: float)
     raise DomainError(f"unknown OU kind {kind!r}")
 
 
-def ou_limit_rv_H1(
+def ou_limit_cdf_H1(
     kind: str,
     t: float,
     lam: float,
     sigma: float,
     xi: XiSpec,
     q: int,
-    stream: np.random.Generator,
-) -> float:
-    """Sample of the H->1 limit law: e^(-lam t) xi + sigma (1-e^(-lam t))
-    H_q(Z)/sqrt(q!) in the nonstationary case, (sigma/lam) H_q(Z)/sqrt(q!)
-    (time-independent) in the stationary case."""
-    if q < 1:
-        raise DomainError("chaos order must be >= 1")
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact CDF of the H->1 limit law: e^(-lam t) xi + sigma (1-e^(-lam t))
+    H_q(Z)/sqrt(q!) in the nonstationary case (t > 0 and a constant xi; a
+    Gaussian xi is refused), (sigma/lam) H_q(Z)/sqrt(q!) (time-independent)
+    in the stationary case."""
     if lam <= 0 or sigma <= 0:
         raise DomainError("need lam > 0 and sigma > 0")
     if kind == "nonstationary":
-        xi_val = draw_xi(xi, stream)
-        hq = sample_hermite_limit_rv(q, stream)
-        return math.exp(-lam * t) * xi_val + sigma * (1.0 - math.exp(-lam * t)) * hq
-    if kind == "stationary":
-        return sigma / lam * sample_hermite_limit_rv(q, stream)
-    raise DomainError(f"unknown OU kind {kind!r}")
+        if t <= 0:
+            raise DomainError("the nonstationary limit law needs t > 0")
+        if isinstance(xi, tuple) and xi[0] == "gaussian":
+            raise UnsupportedError("the limit CDF needs a constant initial condition")
+        shift = math.exp(-lam * t) * draw_xi(xi, None)
+        scale = sigma * (1.0 - math.exp(-lam * t))
+    elif kind == "stationary":
+        shift, scale = 0.0, sigma / lam
+    else:
+        raise DomainError(f"unknown OU kind {kind!r}")
+    cdf = target_cdf_hermite_limit(q)
+    return lambda x: cdf((np.asarray(x, dtype=float) - shift) / scale)

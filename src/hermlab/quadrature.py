@@ -276,19 +276,17 @@ class EffectiveExponents(NamedTuple):
     gamma0: float
 
 
-def effective_exponents(H, scenario: LimitScenario) -> EffectiveExponents:
+def effective_exponents(d: int, scenario: LimitScenario) -> EffectiveExponents:
     """Spatial decay exponents at the limit, with the sign fixed so that the
     all-axes-to-1/2 case in d=1 yields gamma = 1/2:
 
         gamma  = d - sum_a H_a^lim
         gamma0 = d - k/2 - sum_{a not in A_k} H_a^lim
 
-    H supplies the ambient dimension; axis limits come from the scenario
+    d is the spatial dimension; axis limits come from the scenario
     (A_k -> 1/2, B_p -> 1, fixed values otherwise).  The time index H0
     does not enter.
     """
-    Hs = _as_hurst_tuple(H)
-    d = len(Hs)
     targets = scenario.target(0.5, d)
     gamma = d - sum(targets)
     k = scenario.k

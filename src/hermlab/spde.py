@@ -1,6 +1,7 @@
-"""Linear stochastic heat equation driven by Hermite noise: Green function,
-existence condition, mild-solution sampling, covariance quadrature, and the
-limit laws when the Hurst multi-index approaches 1 or 1/2.
+"""Linear stochastic heat equation driven by Hermite noise: existence
+condition, mild-solution sampling, covariance quadrature, and the limit laws
+when the Hurst multi-index approaches 1 or 1/2.  The heat kernel `green`
+comes from core, where the window HeatWindow evaluates it.
 
 The mild solution is a Wiener integral of the window
 F(u, y) = 1_{(0,t)}(u) G(t-u, x-y) against a (d+1)-parameter Hermite sheet
@@ -13,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import erf, gamma as gamma_fn
@@ -28,33 +29,17 @@ from .core import (
     Marginal,
     RandomField,
     UnsupportedError,
+    green,  # noqa: F401  (re-exported as spde.green)
 )
-from .fields import sample_hermite_limit_rv, simulate_hermite_sheet
+from .fields import simulate_hermite_sheet
 from .integrals import WienerFunctional
 from .quadrature import (
+    effective_exponents,
     fbm_time_kernel_integral,
     limit_constant,
     limit_covariance_bifractional,
     q_alpha,
 )
-
-
-def green(t, x, d: int = 1):
-    """Heat kernel (2 pi t)^(-d/2) exp(-|x|^2/(2t)) for t > 0, else 0.
-
-    x has shape (..., d) (or is scalar when d=1); t broadcasts against it.
-    """
-    x = np.asarray(x, dtype=float)
-    if d == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-        x = x[..., None]
-    if x.shape[-1] != d:
-        raise DomainError(f"spatial point dimension {x.shape[-1]} != {d}")
-    t = np.asarray(t, dtype=float)
-    r2 = np.sum(x * x, axis=-1)
-    safe = np.where(t > 0.0, t, 1.0)
-    g = (2.0 * math.pi * safe) ** (-d / 2.0) * np.exp(-r2 / (2.0 * safe))
-    out = np.where(t > 0.0, g, 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 class ExistenceReport(NamedTuple):
@@ -211,8 +196,7 @@ def heat_limit_covariance(
         raise DomainError("at least one spatial axis must be driven to 1/2")
     fixed_h = [scenario.fixed[a] for a in sorted(scenario.fixed)]
     d = k + len(scenario.b_axes) + len(fixed_h)
-    targets = scenario.target(0.5, d)
-    gamma0 = d - 0.5 * k - sum(targets[a] for a in range(d) if a not in scenario.a_axes)
+    gamma0 = effective_exponents(d, scenario).gamma0
     scale = limit_constant(fixed_h, k)
     if h0 is None:
         return limit_covariance_bifractional(t, s, gamma0, scale)
@@ -229,18 +213,18 @@ def heat_limit_sampler_H1(
     h0: Optional[float],
     t: float,
     x,
-    lower: Union[RandomField, np.random.Generator],
-    q: Optional[int] = None,
+    lower: RandomField,
     outer_panels: int = 64,
 ) -> float:
     """Sample of the limit law of u(t,x) when Hurst components tend to 1.
 
-    h0 = None drives the time index to 1.  If every spatial axis is driven to
-    1 as well (case 3) the limit is t * H_q(Z)/sqrt(q!) and `lower` must be a
-    stream; otherwise `lower` is a Hermite sheet over the remaining axes
-    (time first when h0 is fixed) and the limit is the Wiener integral of
-    Marginal(window, collapsed axes, outer_panels) against it, one
-    functional per (window, grid) reused across replicates.
+    h0 = None drives the time index to 1.  `lower` is a Hermite sheet over
+    the axes that stay stochastic (time first when h0 is fixed) and the limit
+    is the Wiener integral of Marginal(window, collapsed axes, outer_panels)
+    against it, one functional per (window, grid) reused across replicates.
+    Case 3, the time index and every spatial axis driven to 1, leaves no
+    sheet: its limit is t H_q(Z)/sqrt(q!), whose CDF at y is
+    stats.target_cdf_hermite_limit(q)(y / t).
     """
     x = tuple(float(v) for v in np.atleast_1d(x))
     d = len(x)
@@ -248,15 +232,9 @@ def heat_limit_sampler_H1(
     for a in a_spatial:
         if not 0 <= a < d:
             raise DomainError(f"spatial axis {a} out of range")
-    all_spatial_to_one = len(a_spatial) == d
-    if h0 is None and all_spatial_to_one:
-        if q is None:
-            raise DomainError("case 3 needs the chaos order q")
-        if not isinstance(lower, np.random.Generator):
-            raise DomainError("case 3 samples from a stream, not a field")
-        return t * sample_hermite_limit_rv(q, lower)
-    if not isinstance(lower, RandomField):
-        raise DomainError("cases 1 and 2 need the lower-dimensional Hermite sheet")
+    if h0 is None and len(a_spatial) == d:
+        raise UnsupportedError("case 3 leaves no sheet: its law is t H_q(Z)/sqrt(q!), "
+                               "see stats.target_cdf_hermite_limit")
     lo, hi = lower.grid.lo(), lower.grid.hi()
     sp_off = 0 if h0 is None else 1
     # spatial half-width available on the lower grid around x fixes the window

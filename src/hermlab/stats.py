@@ -4,7 +4,7 @@ Replicates are tied to their index through derive_stream, so results are
 bit-identical for a fixed (sampler, n, seed) at any thread count: samples land
 in a preallocated list by index and are reduced in a fixed order.
 collect_samples alone sets the thread count: one per CPU by default, or one
-when the first replicate is too short for threads to pay.
+when a warm replicate is too short for threads to pay.
 """
 from __future__ import annotations
 
@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf, ndtr
+from scipy.special import ndtr
 
 from .core import DomainError, derive_stream
 from .fields import hermite_poly
 
 # Replicates this short hold the interpreter lock, so threads only add contention.
-# On a 2-vCPU host a criterion-9 replicate takes 0.05 ms (0.15 ms as the first),
-# the FFT-bound criterion-3 and criterion-8 ones 0.6 to 1 ms.
+# On a 2-vCPU host a criterion-9 replicate takes 0.05 ms (0.3 to 0.4 ms as the
+# first call in a process), the FFT-bound criterion-3 and criterion-8 ones 0.6 to 1 ms.
 SERIAL_BELOW_S = 5e-4
 
 
@@ -66,8 +66,9 @@ def collect_samples(
 
     A scalar sampler gives shape (n,); a sampler returning a fixed-shape
     array gives shape (n, *that shape).  Runs resolve_threads(threads)
-    threads.  With threads None, replicate 0 runs on the calling thread first,
-    and the rest run there too if it took less than SERIAL_BELOW_S."""
+    threads.  With threads None, replicates 0 and 1 run on the calling thread
+    first, and the rest run there too if replicate 1 took less than
+    SERIAL_BELOW_S."""
     if n < 1:
         raise DomainError("need at least one replicate")
     out = [None] * n
@@ -78,9 +79,10 @@ def collect_samples(
 
     start = 0
     if threads is None:
+        run(0, 1)  # pays the sampler's first-call costs, so replicate 1 is timed
+        start = min(n, 2)
         t0 = time.perf_counter()
-        run(0, 1)
-        start = 1
+        run(1, start)
         if time.perf_counter() - t0 < SERIAL_BELOW_S:
             threads = 1
     threads = resolve_threads(threads)
@@ -141,24 +143,38 @@ def ks_distance(samples: np.ndarray, target_cdf: Callable[[np.ndarray], np.ndarr
 
 
 def target_cdf_hermite_limit(q: int) -> Callable[[np.ndarray], np.ndarray]:
-    """CDF of H_q(Z)/sqrt(q!); closed form for q=1 (normal) and q=2 (shifted
-    scaled chi-square), empirical from 10^6 direct draws for q >= 3."""
+    """Exact CDF of H_q(Z)/sqrt(q!), the H -> 1 limit variable, for every q.
+
+    H_q is monotone between the q-1 roots of H_(q-1), the eigenvalues of the
+    Golub-Welsch Jacobi matrix with off-diagonal sqrt(k).  Bisection solves
+    H_q(z) = x sqrt(q!) on each monotone piece, and the CDF sums the normal
+    mass where H_q <= x sqrt(q!).  The roots of H_q lie in |z| < sqrt(4q+2),
+    so sqrt(4q+2) + |x sqrt(q!)|^(1/q) bounds the two unbounded pieces."""
     if q < 1:
         raise DomainError("chaos order must be >= 1")
-    if q == 1:
-        return lambda x: ndtr(np.asarray(x, dtype=float))
-    if q == 2:
-        # (Z^2-1)/sqrt(2) <= x  <=>  Z^2 <= 1 + sqrt(2) x; P(Z^2<=y)=erf(sqrt(y/2))
-        def cdf(x):
-            y = 1.0 + math.sqrt(2.0) * np.asarray(x, dtype=float)
-            return np.where(y > 0.0, erf(np.sqrt(np.maximum(y, 0.0) / 2.0)), 0.0)
+    i = np.arange(q - 2)
+    jacobi = np.zeros((q - 1, q - 1))
+    jacobi[i, i + 1] = jacobi[i + 1, i] = np.sqrt(i + 1.0)
+    edges = np.concatenate(([-np.inf], np.linalg.eigvalsh(jacobi), [np.inf]))
+    lo_edge, hi_edge, piece = edges[:-1, None], edges[1:, None], np.arange(q)[:, None]
+    rising = (q - 1 - piece) % 2 == 0  # H_q rises on the last piece
+    # H_q at each piece's minimum: the left end if rising, else the right end;
+    # H_q(-inf) = -inf is read only for a rising first piece (q odd)
+    h_min = np.concatenate(([-np.inf], hermite_poly(q, edges[1:-1]), [np.inf]))[piece + ~rising]
+    norm = math.sqrt(math.factorial(q))
 
-        return cdf
-    rng = derive_stream(0x4865726D697465, q)
-    z = rng.standard_normal(10**6)
-    vals = np.sort(hermite_poly(q, z) / math.sqrt(math.factorial(q)))
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        y = x.reshape(1, -1) * norm
+        bound = math.sqrt(4.0 * q + 2.0) + np.abs(y) ** (1.0 / q)
+        lo, hi = np.maximum(lo_edge, -bound), np.minimum(hi_edge, bound)
+        for _ in range(64):  # 2^-64 of a bracket narrower than 2 * bound is below an ulp
+            mid = 0.5 * (lo + hi)
+            # y at a piece's minimum gives the piece no mass, though H_q is flat there
+            right = ((hermite_poly(q, mid) <= y) & (y > h_min)) == rising
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        p = ndtr(0.5 * (lo + hi))
+        mass = np.where(rising, p - ndtr(lo_edge), ndtr(hi_edge) - p)
+        return mass.sum(axis=0).reshape(x.shape)
 
-    def ecdf(x):
-        return np.searchsorted(vals, np.asarray(x, dtype=float), side="right") / vals.size
-
-    return ecdf
+    return cdf

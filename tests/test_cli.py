@@ -196,7 +196,9 @@ class TestContract:
          "--x-steps", "32", "--n-internal", "64", "--trunc", "4"],
         ["ou", "--stationary", "--horizon", "6", "--hurst", "0.7", "--reps", "40", "--grid", "64",
          "--n-internal", "1024"],
-    ], ids=["integral", "ou", "sweep", "heat", "ou_stationary"])
+        ["sweep", "--target", "one", "--q", "3", "--hurst-grid", "0.9,0.99", "--reps", "40",
+         "--grid", "64", "--n-internal", "1024", "--panels", "64"],
+    ], ids=["integral", "ou", "sweep", "heat", "ou_stationary", "sweep_one_q3"])
     def test_mc_payloads_byte_identical_and_thread_independent(self, capsys, argv):
         payloads = []
         for threads in ("1", "1", "2"):

@@ -19,7 +19,6 @@ from hermlab.fields import (
     chaos_oracle_sample,
     fgn_autocov,
     hermite_poly,
-    sample_hermite_limit_rv,
     simulate_fractional_gaussian_sheet,
     simulate_hermite_sheet,
 )
@@ -47,19 +46,6 @@ class TestHermitePoly:
     def test_negative_degree(self):
         with pytest.raises(DomainError):
             hermite_poly(-1, 0.0)
-
-
-class TestLimitRV:
-    def test_q1_is_standard_normal(self):
-        xs = np.array([sample_hermite_limit_rv(1, s) for s in streams(4000)])
-        assert abs(xs.mean()) < 4 / math.sqrt(4000)
-        assert xs.var() == pytest.approx(1.0, abs=0.1)
-
-    def test_unit_variance_q3(self):
-        xs = np.array([sample_hermite_limit_rv(3, s) for s in streams(20000)])
-        se_var = np.std(xs**2) / math.sqrt(len(xs))
-        assert abs(xs.mean()) < 4 * xs.std() / math.sqrt(len(xs))
-        assert abs(xs.var() - 1.0) < 4 * se_var
 
 
 class TestGaussianSheet:

@@ -8,18 +8,19 @@ from hermlab.core import (
     ExpWindow,
     GridSpec,
     HermiteSpec,
+    UnsupportedError,
     derive_stream,
     midpoint_mesh,
 )
 from hermlab.fields import simulate_hermite_sheet
 from hermlab.ou import (
     OUSpec,
+    ou_limit_cdf_H1,
     ou_limit_covariance,
-    ou_limit_rv_H1,
     simulate_hou,
 )
 from hermlab.quadrature import QuadratureConfig, inner_product_HH
-from hermlab.stats import ks_distance
+from hermlab.stats import ks_distance, target_cdf_hermite_limit
 
 SEED = 907
 
@@ -170,26 +171,32 @@ class TestLimits:
             0.5 * math.exp(-5)
         )
 
-    def test_limit_rv_variances(self):
-        def check(kind, target, salt):
-            vals = np.array([
-                ou_limit_rv_H1(kind, 1.0, 1.0, 1.0, 0.0, 2, derive_stream(SEED + salt, i))
-                for i in range(20000)
-            ])
-            se = np.std((vals - vals.mean()) ** 2) / math.sqrt(len(vals))
-            assert abs(vals.var() - target) < 4 * se
+    def test_limit_cdf_is_shift_plus_scaled_hermite_law(self):
+        x = np.linspace(-3.0, 4.0, 71)
+        hq = target_cdf_hermite_limit(3)
+        shift, scale = 0.5 * math.exp(-2.0), 2.0 * (1.0 - math.exp(-2.0))
+        got = ou_limit_cdf_H1("nonstationary", 2.0, 1.0, 2.0, 0.5, 3)(x)
+        assert np.array_equal(got, hq((x - shift) / scale))
+        assert np.array_equal(ou_limit_cdf_H1("nonstationary", 2.0, 1.0, 2.0, ("const", 0.5), 3)(x),
+                              got)
+        assert np.array_equal(ou_limit_cdf_H1("stationary", 5.0, 4.0, 2.0, 0.0, 3)(x), hq(2.0 * x))
 
-        check("nonstationary", (1 - math.exp(-1)) ** 2, 8)
-        check("stationary", 1.0, 9)
-
-    def test_limit_rv_q1_gaussian(self):
+    def test_limit_cdf_q1_gaussian(self):
         from scipy.special import ndtr
 
-        xs = np.array([
-            ou_limit_rv_H1("stationary", 0.0, 1.0, 1.0, 0.0, 1, derive_stream(SEED + 10, i))
-            for i in range(10**5)
-        ])
-        assert ks_distance(xs, ndtr) < 0.02
+        x = np.linspace(-3.0, 3.0, 61)
+        got = ou_limit_cdf_H1("stationary", 0.0, 2.0, 1.0, 0.0, 1)(x)
+        assert np.max(np.abs(got - ndtr(2.0 * x))) <= 1e-15
+
+    def test_limit_cdf_refusals(self):
+        with pytest.raises(UnsupportedError):
+            ou_limit_cdf_H1("nonstationary", 1.0, 1.0, 1.0, ("gaussian", 0.0, 1.0), 2)
+        with pytest.raises(DomainError):
+            ou_limit_cdf_H1("nonstationary", 0.0, 1.0, 1.0, 0.0, 2)
+        with pytest.raises(DomainError):
+            ou_limit_cdf_H1("bogus", 1.0, 1.0, 1.0, 0.0, 2)
+        with pytest.raises(DomainError):
+            ou_limit_cdf_H1("stationary", 1.0, 1.0, 1.0, 0.0, 0)
 
     def test_quadrature_trend_to_half_limit(self):
         f = ExpWindow(1.0, 1.0)
@@ -199,11 +206,8 @@ class TestLimits:
         assert abs(vals[-1] - target) / target < 0.02
 
     def test_H_to_one_ks_trend(self):
-        from hermlab.stats import target_cdf_hermite_limit
-
         g = GridSpec(0, 1, 512)
-        cdf = target_cdf_hermite_limit(2)
-        scale = 1 - math.exp(-1)
+        cdf = ou_limit_cdf_H1("nonstationary", 1.0, 1.0, 1.0, 0.0, 2)
         ks = []
         for j, h in enumerate((0.9, 0.99)):
             spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=h)
@@ -211,5 +215,5 @@ class TestLimits:
                 simulate_hou(spec, g, derive_stream(SEED + 11 + j, i), 2**13).values[-1]
                 for i in range(1500)
             ])
-            ks.append(ks_distance(ys / scale, cdf))
+            ks.append(ks_distance(ys, cdf))
         assert ks[1] < ks[0]

@@ -286,13 +286,13 @@ class TestConstants:
 
     def test_effective_exponents_case3(self):
         sc = LimitScenario(a_axes=(0,))
-        ee = effective_exponents((0.7,), sc)
+        ee = effective_exponents(1, sc)
         assert ee.gamma == pytest.approx(0.5)
         assert ee.gamma0 == pytest.approx(0.5)
 
     def test_effective_exponents_fixed_axis(self):
         sc = LimitScenario(a_axes=(0,), fixed={1: 0.7})
-        ee = effective_exponents((0.7, 0.7), sc)
+        ee = effective_exponents(2, sc)
         assert ee.gamma0 == pytest.approx(2 - 0.5 - 0.7)
 
     def test_limit_constant_values(self):

@@ -181,14 +181,13 @@ class TestLimits:
         v_near = heat_covariance_quadrature(HeatSpec(2, 0.7, (0.5001,)), 1.0, 1.0)
         assert v_lim == pytest.approx(v_near, rel=0.005)
 
-    def test_case3_sampler_variance(self):
+    def test_case3_sampler_refused(self):
+        # every axis to 1 leaves no sheet; the law is t H_q(Z)/sqrt(q!) exactly
         sc = LimitScenario(a_axes=(0,))
-        xs = np.array([
-            heat_limit_sampler_H1(sc, None, 1.0, 0.0, derive_stream(SEED + 3, i), q=2)
-            for i in range(20000)
-        ])
-        assert xs.var() == pytest.approx(1.0, rel=0.05)
-        assert heat_limit_sampler_H1(sc, None, 0.0, 0.0, derive_stream(SEED, 0), q=2) == 0.0
+        lower = simulate_hermite_sheet(HermiteSpec(2, HurstMultiIndex(0.7)), GridSpec(0.0, 1.0, 8),
+                                       64, derive_stream(SEED, 0))
+        with pytest.raises(UnsupportedError):
+            heat_limit_sampler_H1(sc, None, 1.0, 0.0, lower)
 
     def test_case2_sampler_runs_and_centers(self):
         # H0 fixed, the single spatial axis driven to 1: the lower field is a

@@ -1,9 +1,13 @@
 import math
 import os
 import threading
+import time
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import herme2poly
+from scipy.special import erf, ndtr
 
 from hermlab.core import DomainError, derive_stream
 from hermlab.stats import (
@@ -117,6 +121,60 @@ class TestTargetCDF:
         samples = (z**3 - 3 * z) / math.sqrt(6)
         assert ks_distance(samples, cdf) < 0.02
 
+    def test_q1_q2_match_closed_forms(self):
+        x = np.concatenate([np.linspace(-3.0, 5.0, 801), [-1 / math.sqrt(2)]])
+        assert np.max(np.abs(target_cdf_hermite_limit(1)(x) - ndtr(x))) <= 1e-14
+        # (Z^2-1)/sqrt(2) <= x  <=>  Z^2 <= 1 + sqrt(2) x; P(Z^2 <= y) = erf(sqrt(y/2))
+        y = 1.0 + math.sqrt(2.0) * x
+        chi2 = np.where(y > 0.0, erf(np.sqrt(np.maximum(y, 0.0) / 2.0)), 0.0)
+        got = target_cdf_hermite_limit(2)(x)
+        assert np.max(np.abs(got - chi2)) <= 1e-14
+        assert got[-1] == 0.0
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6])
+    def test_matches_mpmath_reference(self, q):
+        x = np.linspace(-2.5, 4.5, 29) + 0.0123  # clear of the critical values
+        ref = np.array([_mp_cdf(q, v) for v in x])
+        assert np.max(np.abs(target_cdf_hermite_limit(q)(x) - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+    def test_mean_zero_variance_one(self, q):
+        # E X = int_0^inf (1 - F(x)) - F(-x) dx, E X^2 = int_0^inf 2x (1 - F(x) + F(-x)) dx,
+        # on x = u^q / sqrt(q!), which reaches P(|Z| > 10) at u = 10
+        u = np.linspace(0.0, 10.0, 20001)
+        norm = math.sqrt(math.factorial(q))
+        x, dx = u**q / norm, q * u ** (q - 1) / norm
+        cdf = target_cdf_hermite_limit(q)
+        up, down = 1.0 - cdf(x), cdf(-x)
+        assert abs(np.trapezoid((up - down) * dx, u)) <= 5e-5
+        assert abs(np.trapezoid(2.0 * x * (up + down) * dx, u) - 1.0) <= 5e-5
+
+    def test_shape_follows_input(self):
+        cdf = target_cdf_hermite_limit(3)
+        assert cdf(np.zeros((2, 3))).shape == (2, 3)
+        assert float(cdf(0.0)) == pytest.approx(0.5, abs=1e-15)
+
+    def test_order_validated(self):
+        with pytest.raises(DomainError):
+            target_cdf_hermite_limit(0)
+
+
+def _mp_cdf(q: int, x: float) -> float:
+    """P(H_q(Z) <= x sqrt(q!)) at 40 digits: the normal mass of the intervals
+    between the real roots of H_q(z) - x sqrt(q!) where the polynomial is <= 0."""
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpf(c) for c in herme2poly([0] * q + [1])[::-1]]
+        coeffs[-1] -= mpmath.mpf(x) * mpmath.sqrt(mpmath.factorial(q))
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+        cuts = [-mpmath.inf] + sorted(r.real for r in roots if abs(r.imag) < 1e-25) + [mpmath.inf]
+        total = mpmath.mpf(0)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            inner = 0 if a == -mpmath.inf and b == mpmath.inf else (
+                b - 1 if a == -mpmath.inf else a + 1 if b == mpmath.inf else (a + b) / 2)
+            if mpmath.polyval(coeffs, inner) <= 0:
+                total += mpmath.ncdf(b) - mpmath.ncdf(a)
+        return float(total)
+
 
 class TestCollect:
     def test_indexing_matches_streams(self):
@@ -134,6 +192,24 @@ class TestCollect:
         samples = collect_samples(lambda s: idents.add(threading.get_ident()) or 3.0, 200, 1)
         assert idents == {threading.get_ident()}
         assert np.all(samples == 3.0)
+
+    def test_slow_first_call_alone_keeps_the_calling_thread(self):
+        idents, calls = set(), []
+
+        def sampler(s):
+            if not calls:
+                time.sleep(0.01)  # a first-call cost far above SERIAL_BELOW_S
+            calls.append(None)
+            idents.add(threading.get_ident())
+            return 3.0
+
+        assert np.all(collect_samples(sampler, 200, 1) == 3.0)
+        assert idents == {threading.get_ident()}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_replicates(self, n):
+        samples = collect_samples(lambda s: float(s.standard_normal()), n, 42)
+        assert samples.tolist() == [float(derive_stream(42, i).standard_normal()) for i in range(n)]
 
     def test_explicit_threads_are_honoured(self):
         idents = set()
