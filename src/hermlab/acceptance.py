@@ -37,11 +37,10 @@ MASTER_SEED = 20260810
 
 def _wiener_samples(q, H, n, seed, threads, n_internal=2**14, salt=0):
     """MC samples of int exp_window(1, 1) dZ^q_H via the Riemann-Stieltjes sum, 512 steps."""
-    grid = GridSpec(0.0, 1.0, 512)
-    functional = WienerFunctional(ExpWindow(1.0, 1.0), grid)
+    functional = WienerFunctional(ExpWindow(1.0, 1.0), GridSpec(0.0, 1.0, 512))
     spec = HermiteSpec(q, HurstMultiIndex(H))
-    return collect_samples(lambda s: functional(simulate_hermite_sheet(spec, grid, n_internal, s)),
-                           n, seed + salt, threads)
+    return collect_samples(lambda s: functional.sample(spec, n_internal, s), n, seed + salt,
+                           threads)
 
 
 def crit_1_fbm_covariance(seed: int, fast: bool, threads: int | None = None):

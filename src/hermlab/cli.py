@@ -31,9 +31,9 @@ from .core import (
     write_fields_csv,
 )
 from . import acceptance, stats
-from .fields import simulate_fractional_gaussian_sheet, simulate_hermite_sheet
+from .fields import fine_mesh, simulate_fractional_gaussian_sheet, simulate_hermite_sheet
 from .integrals import WienerFunctional
-from .ou import OUSpec, ou_limit_covariance, simulate_hou
+from .ou import OUSpec, driving_grid, ou_limit_covariance, simulate_hou
 from .powercount import check_integrability, system_from_dict
 from .quadrature import QuadratureConfig, inner_product_HH, sigma_limit
 from .spde import (
@@ -61,19 +61,24 @@ def _hurst_list(text: str) -> tuple[float, ...]:
 
 def _manifest(args: argparse.Namespace, started: float) -> dict:
     """Run record; runtime.threads is the cap resolve_threads gives, which a
-    default-thread collect_samples call may undercut by running serially."""
+    default-thread collect_samples call may undercut by running serially.
+    A command that drew sheets records their per-axis fine mesh as
+    runtime.fine_mesh."""
     flags = {k: v for k, v in sorted(vars(args).items())
              if k != "func" and not k.startswith("_")}
+    runtime = {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": stats.resolve_threads(args.threads),
+    }
+    if hasattr(args, "_fine_mesh"):
+        runtime["fine_mesh"] = list(args._fine_mesh)
     return {
         "command": args.command,
         "flags": {k: (list(v) if isinstance(v, tuple) else v) for k, v in flags.items()},
         "seed": args.seed,
         "version": __version__,
-        "runtime": {
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "threads": stats.resolve_threads(args.threads),
-        },
+        "runtime": runtime,
         "started": started,
         "finished": time.time(),
     }
@@ -120,6 +125,7 @@ def _cmd_simulate(args) -> dict:
     grid = GridSpec([0.0] * d, [args.t_max] * d, [args.grid] * d)
     gaussian = args.q == 1 and any(h <= 0.5 for h in hurst)
     spec = None if gaussian else HermiteSpec(args.q, HurstMultiIndex(hurst))
+    args._fine_mesh = grid.steps if gaussian else fine_mesh(grid.steps, args.n_internal)
 
     def sampler(stream):
         if gaussian:
@@ -150,9 +156,10 @@ def _cmd_integral(args) -> dict:
     spec = HermiteSpec(args.q, HurstMultiIndex(hurst))
     grid = GridSpec(0.0, args.t, args.grid)
     functional = WienerFunctional(f, grid)
+    args._fine_mesh = fine_mesh(grid.steps, args.n_internal)
 
     def sampler(stream):
-        return functional(simulate_hermite_sheet(spec, grid, args.n_internal, stream))
+        return functional.sample(spec, args.n_internal, stream)
 
     samples = collect_samples(sampler, args.reps, args.seed, threads=args.threads)
     rep = report_from_samples(samples, args.seed)
@@ -190,14 +197,14 @@ def _cmd_sweep(args) -> dict:
         f_int = float(np.sum(functional.weights) * spec_grid.mesh[0])
         result["limit_variance"] = f_int**2
     if args.reps:
+        args._fine_mesh = fine_mesh(spec_grid.steps, args.n_internal)
         mc_vars, ks_vals = [], []
         cdf = target_cdf_hermite_limit(args.q)
         for h in hurst_grid:
             spec = HermiteSpec(args.q, HurstMultiIndex(float(h)))
 
             def sampler(stream, spec=spec):
-                field = simulate_hermite_sheet(spec, spec_grid, args.n_internal, stream)
-                return functional(field)
+                return functional.sample(spec, args.n_internal, stream)
 
             samples = collect_samples(sampler, args.reps, args.seed, threads=args.threads)
             mc_vars.append(float(np.var(samples)))
@@ -228,6 +235,7 @@ def _cmd_heat(args) -> dict:
     if d == 1:
         result["white_noise_limit"] = heat_limit_covariance(scenario, None, args.t, args.s)
     if args.reps:
+        args._fine_mesh = fine_mesh(spec.steps, spec.n_internal)
         x = tuple([0.0] * d)
 
         def sampler(stream):
@@ -250,6 +258,7 @@ def _cmd_ou(args) -> dict:
         M=args.horizon,
     )
     grid = GridSpec(0.0, args.t_max, args.grid)
+    args._fine_mesh = fine_mesh(driving_grid(spec, grid).steps, args.n_internal)
 
     def sampler(stream):
         return float(simulate_hou(spec, grid, stream, args.n_internal).values[-1])

@@ -1,16 +1,19 @@
 """Samplers for fractional Gaussian sheets and Hermite sheets, Hermite
 polynomials, and a brute-force multiple Wiener-Ito integral oracle.
 
-Every sheet comes from one pipeline, the Hermite-rank construction: a
-long-range-dependent Gaussian array with per-axis transformed Hurst value
-H' = 1 + (H-1)/q is pushed through H_q pointwise, block-summed from the fine
-mesh into grid cells, and cumulatively summed over the grid.  The fractional
-Gaussian sheet is its q = 1 case at one fine cell per grid cell.  The base
-correlation is chosen so the transformed increments carry the exact
-fractional-sheet covariance, making Var Z(node) = node^(2H) at every grid
-node in expectation.  Gaussian arrays come from circulant embedding drawn
-in the spectral domain: the half spectrum of real white noise is itself a
-complex Gaussian array of known law, so it is drawn directly, scaled per
+Every sheet comes from one pipeline, the Hermite-rank construction, which
+ends at the grid-cell increments: a long-range-dependent Gaussian array with
+per-axis transformed Hurst value H' = 1 + (H-1)/q is pushed through H_q
+pointwise, block-summed from the fine mesh into grid cells and scaled
+(hermite_sheet_increments).  The base correlation is chosen so the
+transformed increments carry the exact fractional-sheet covariance, making
+Var Z(node) = node^(2H) at every grid node in expectation.  Only consumers of
+node values pay for the cumulative sum over the grid: simulate_hermite_sheet
+and simulate_fractional_gaussian_sheet (the q = 1 case at one fine cell per
+grid cell) wrap it in a RandomField, while a Wiener functional or an OU path
+dots the increments directly.  Gaussian arrays come from circulant embedding
+drawn in the spectral domain: the half spectrum of real white noise is itself
+a complex Gaussian array of known law, so it is drawn directly, scaled per
 frequency plane and sent through one axis-by-axis inverse real FFT, which
 keeps the embedded covariance exact.  That per-bin scale is the one cached
 quantity: the cache is keyed by the sampler's exact (H, q, N) and holds at
@@ -62,7 +65,11 @@ def hermite_poly(q: int, x):
         return np.ones_like(x) if x.ndim else 1.0
     h_prev, h = 1.0, x
     for n in range(1, q):
-        h, h_prev = x * h - n * h_prev, h
+        # x*h, then the subtraction in place: the same operations in the same
+        # order as x*h - n*h_prev, with one full-size temporary fewer
+        nxt = x * h
+        nxt -= n * h_prev
+        h, h_prev = nxt, h
     if h is x:
         h = x.copy()
     return h if h.ndim else float(h)
@@ -167,12 +174,21 @@ def _padded_cumsum(incr: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _sheet(Hs, q, grid, strides, stream, spec, method) -> RandomField:
+def fine_mesh(steps: Sequence[int], n_internal: int) -> tuple[int, ...]:
+    """Fine-mesh cells per axis of a Hermite sheet on a grid of `steps` cells
+    per axis: n_internal rounded to a multiple of each axis's step count, so
+    grid nodes land on fine-mesh nodes (at least one fine cell per grid cell)."""
+    if n_internal < 64:
+        raise DomainError("internal fine mesh must have at least 64 cells per axis")
+    return tuple(s * max(1, round(n_internal / s)) for s in steps)
+
+
+def _increments(Hs, q, grid, N, stream) -> np.ndarray:
     """The one sheet pipeline: a stationary unit Gaussian array with per-axis
-    correlation rho_H(k)^(1/q) on the fine mesh of strides[a] cells per grid
-    cell, pushed through H_q, block-summed into grid cells, scaled by
-    prod_a fine_mesh_a^(H_a) / sqrt(q!) and cumulatively summed."""
-    N = tuple(st * s for st, s in zip(strides, grid.steps))
+    correlation rho_H(k)^(1/q) on the fine mesh of N[a] cells per axis,
+    pushed through H_q, block-summed into grid cells and scaled in place by
+    c = prod_a h_a^(H_a) / sqrt(q!), h_a the fine cell width: the grid-cell
+    increments."""
     cells = math.prod(2 * n for n in N)
     if cells > SHEET_CELL_CAP:
         raise ResourceError(
@@ -180,11 +196,12 @@ def _sheet(Hs, q, grid, strides, stream, spec, method) -> RandomField:
             "lower the grid or the fine mesh"
         )
     xi = _stationary_unit_field(_spectral_scale(Hs, q, N), stream)
-    fine_mesh = [e / n for e, n in zip(grid.extents, N)]
-    c = float(np.prod([m**h for m, h in zip(fine_mesh, Hs)])) / math.sqrt(math.factorial(q))
-    values = _padded_cumsum(_block_sum(hermite_poly(q, xi), strides) * c)
-    meta = FieldMeta(spec=spec, method=method, internal=max(N))
-    return RandomField(grid=grid, values=values, meta=meta)
+    strides = [n // s for n, s in zip(N, grid.steps)]
+    width = [e / n for e, n in zip(grid.extents, N)]
+    c = float(np.prod([m**h for m, h in zip(width, Hs)])) / math.sqrt(math.factorial(q))
+    incr = _block_sum(hermite_poly(q, xi), strides)
+    incr *= c
+    return incr
 
 
 def simulate_fractional_gaussian_sheet(
@@ -207,20 +224,22 @@ def simulate_fractional_gaussian_sheet(
     spec = None
     if all(0.5 < h < 1.0 for h in Hs):
         spec = HermiteSpec(1, HurstMultiIndex(Hs))
-    return _sheet(Hs, 1, grid, [1] * grid.d, stream, spec, "circulant")
+    values = _padded_cumsum(_increments(Hs, 1, grid, grid.steps, stream))
+    meta = FieldMeta(spec=spec, method="circulant", internal=max(grid.steps))
+    return RandomField(grid=grid, values=values, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # Hermite sheets via the Hermite-rank construction
 # ---------------------------------------------------------------------------
 
-def simulate_hermite_sheet(
+def hermite_sheet_increments(
     spec: HermiteSpec,
     grid: GridSpec,
     n_internal: int,
     stream: np.random.Generator,
-) -> RandomField:
-    """Approximate sample of a Hermite sheet on the grid nodes.
+) -> np.ndarray:
+    """Grid-cell increments of an approximate Hermite sheet, shape grid.steps.
 
     The base Gaussian array carries the per-axis correlation rho_H(k)^(1/q)
     (tail exponent 2(H'-1) with H' = 1 + (H-1)/q), which makes the
@@ -230,17 +249,28 @@ def simulate_hermite_sheet(
     exactly in expectation at every grid node; higher-order structure
     converges with the fine mesh.
 
-    n_internal is the fine-mesh size per axis; it is rounded to a multiple of
-    the output step count so grid nodes land on fine-mesh nodes.  A fine mesh
-    whose circulant would exceed SHEET_CELL_CAP cells raises ResourceError
-    before anything is allocated.
+    n_internal is the fine-mesh size per axis, rounded by fine_mesh.  A fine
+    mesh whose circulant would exceed SHEET_CELL_CAP cells raises
+    ResourceError before anything is allocated.
     """
     if spec.d != grid.d:
         raise DomainError("spec and grid dimension mismatch")
-    if n_internal < 64:
-        raise DomainError("internal fine mesh must have at least 64 cells per axis")
-    strides = [max(1, round(n_internal / s)) for s in grid.steps]
-    return _sheet(spec.hurst.values, spec.q, grid, strides, stream, spec, "hermite_rank")
+    N = fine_mesh(grid.steps, n_internal)
+    return _increments(spec.hurst.values, spec.q, grid, N, stream)
+
+
+def simulate_hermite_sheet(
+    spec: HermiteSpec,
+    grid: GridSpec,
+    n_internal: int,
+    stream: np.random.Generator,
+) -> RandomField:
+    """Approximate sample of a Hermite sheet on the grid nodes: the padded
+    cumulative sum of hermite_sheet_increments on the same stream."""
+    values = _padded_cumsum(hermite_sheet_increments(spec, grid, n_internal, stream))
+    internal = max(fine_mesh(grid.steps, n_internal))
+    return RandomField(grid=grid, values=values,
+                       meta=FieldMeta(spec=spec, method="hermite_rank", internal=internal))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 A plain integral, a heat mild solution and the H -> 1 limit object
 int Marginal(f, A) dZ^(q,d-k) are each one WienerFunctional: the integrand's
 midpoint weights on a grid, checked once for truncation, then dotted with the
-cell increments of each replicate's field.  An OU path (ou.simulate_hou)
-takes its own cumulative midpoint Riemann-Stieltjes sum instead.
+cell increments of each replicate's sheet.  `sample` draws those increments
+straight from the sheet pipeline; calling the functional on a RandomField
+differences its node values back into increments first.  An OU path
+(ou.simulate_hou) takes its own cumulative midpoint Riemann-Stieltjes sum
+of the increments instead.
 """
 from __future__ import annotations
 
@@ -13,12 +16,14 @@ import numpy as np
 from .core import (
     DomainError,
     GridSpec,
+    HermiteSpec,
     Integrand,
     RandomField,
     TruncationError,
     cell_increments,
     midpoint_mesh,
 )
+from .fields import hermite_sheet_increments
 
 MASS_TOL = 0.01
 MASS_CHECK_POINTS = 2**21  # 128 panels per axis up to d = 3
@@ -59,8 +64,8 @@ class WienerFunctional:
 
     Construction raises TruncationError when more than MASS_TOL of the L1
     mass of f falls outside the grid box and stores the midpoint weights;
-    each call then costs one increment pass and one dot product, so build
-    one functional and reuse it across replicates.
+    each replicate then costs one dot product, so build one functional and
+    reuse it across replicates.
     """
 
     def __init__(self, f: Integrand, grid: GridSpec):
@@ -73,10 +78,21 @@ class WienerFunctional:
                 f"field domain captures only {covered:.4f} of the integrand mass"
             )
 
+    def sample(self, spec: HermiteSpec, n_internal: int, stream: np.random.Generator) -> float:
+        """int f dZ for one Hermite sheet of `spec` drawn on this grid from
+        `stream`: equal, up to rounding, to self(simulate_hermite_sheet(spec,
+        self.grid, n_internal, stream)), without forming node values."""
+        return self._dot(hermite_sheet_increments(spec, self.grid, n_internal, stream))
+
     def __call__(self, field: RandomField) -> float:
         if field.grid != self.grid:
             raise DomainError("field grid differs from the functional's grid")
-        return float(np.sum(self.weights * cell_increments(field.values)))
+        return self._dot(cell_increments(field.values))
+
+    def _dot(self, incr: np.ndarray) -> float:
+        # incr is a fresh array of the caller's, so the products overwrite it
+        incr *= self.weights
+        return float(np.sum(incr))
 
 
 def wiener_hermite_integral(f: Integrand, field: RandomField) -> float:

@@ -20,10 +20,12 @@ from .core import (
     UnsupportedError,
     midpoint_mesh,
 )
-from .fields import simulate_hermite_sheet
+from .fields import fine_mesh, hermite_sheet_increments
 from .stats import target_cdf_hermite_limit
 
 XiSpec = Union[float, tuple]
+
+_EXP_SPAN = 512.0  # largest exponent of a path weight; float64 overflows past 709
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,23 @@ def draw_xi(xi: XiSpec, stream: np.random.Generator) -> float:
     return float(xi)
 
 
+def driving_grid(spec: OUSpec, grid: GridSpec) -> GridSpec:
+    """The grid of the driving Hermite path: `grid` itself, or for a
+    stationary spec the same step extended back to cover [-M, T]; `grid`
+    must be one-parameter and start at 0.  Horizons with lam*M < 5 are
+    refused (truncated tail mass above e^-5)."""
+    if grid.d != 1 or abs(grid.origins[0]) > 1e-12:
+        raise DomainError("need a one-parameter grid starting at 0")
+    if not spec.stationary:
+        return grid
+    M = spec.horizon()
+    if spec.lam * M < 5.0:
+        raise DomainError(f"truncation refused: lam*M = {spec.lam * M:.2f} < 5")
+    h = grid.mesh[0]
+    m_cells = int(math.ceil(M / h - 1e-12))
+    return GridSpec(-m_cells * h, m_cells * h + grid.extents[0], m_cells + grid.steps[0])
+
+
 def simulate_hou(
     spec: OUSpec,
     grid: GridSpec,
@@ -76,38 +95,40 @@ def simulate_hou(
 
     Nonstationary spec: Y(t) = e^(-lam t) (xi + sigma int_0^t e^(lam u) dZ).
     xi is drawn first (once per replicate, independent of the driving
-    sheet), then one Hermite path on the grid.
+    sheet), then the cell increments of one Hermite path on the grid.
 
     Stationary spec: X(t) = sigma int_(-M)^t e^(-lam (t-u)) dZ(u), with the
-    driving path on [-M, T] and no draw for xi.  Horizons with lam*M < 5
-    are refused (truncated tail mass above e^-5).
+    driving path on [-M, T] (see driving_grid) and no draw for xi.
 
-    Both integrals are midpoint Riemann-Stieltjes cumulative sums.
+    Both integrals are midpoint Riemann-Stieltjes cumulative sums of the
+    increments.  The weights e^(lam u) are taken relative to a reference
+    time that moves up by _EXP_SPAN / lam each time lam u passes a multiple
+    of _EXP_SPAN, so no exponential overflows at any horizon; the reference
+    is 0 throughout while lam T < _EXP_SPAN.
     """
-    if grid.d != 1 or abs(grid.origins[0]) > 1e-12:
-        raise DomainError("need a one-parameter grid starting at 0")
-    path_grid, m_cells = grid, 0
-    if spec.stationary:
-        M = spec.horizon()
-        if spec.lam * M < 5.0:
-            raise DomainError(f"truncation refused: lam*M = {spec.lam * M:.2f} < 5")
-        h = grid.mesh[0]
-        m_cells = int(math.ceil(M / h - 1e-12))
-        path_grid = GridSpec(-m_cells * h, m_cells * h + grid.extents[0],
-                             m_cells + grid.steps[0])
+    path_grid = driving_grid(spec, grid)
+    m_cells = path_grid.steps[0] - grid.steps[0]
     xi = 0.0 if spec.stationary else draw_xi(spec.xi, stream)
-    z = simulate_hermite_sheet(
-        HermiteSpec(spec.q, HurstMultiIndex(spec.H)), path_grid, n_internal, stream
-    )
-    dz = np.diff(z.values)
-    mids = midpoint_mesh([path_grid.axis_nodes(0)]).reshape(-1)
-    integ = np.concatenate([[0.0], np.cumsum(np.exp(spec.lam * mids) * dz)])[m_cells:]
-    decay = np.exp(-spec.lam * grid.axis_nodes(0))
+    sheet_spec = HermiteSpec(spec.q, HurstMultiIndex(spec.H))
+    dz = hermite_sheet_increments(sheet_spec, path_grid, n_internal, stream)
+    lam_mids = spec.lam * midpoint_mesh([path_grid.axis_nodes(0)]).reshape(-1)
+    ref = _EXP_SPAN * np.maximum(np.floor(lam_mids / _EXP_SPAN), 0.0)  # lam * reference
+    integ = np.exp(lam_mids - ref) * dz
+    starts = np.flatnonzero(np.diff(ref)) + 1
+    for lo, hi in zip(np.r_[0, starts], np.r_[starts, len(integ)]):
+        np.cumsum(integ[lo:hi], out=integ[lo:hi])
+        if lo:  # carry the running sum over to the new reference
+            integ[lo:hi] += integ[lo - 1] * math.exp(ref[lo - 1] - ref[lo])
+    # node k sums the cells before it, relative to the reference of cell k - 1
+    integ = np.concatenate([[0.0], integ])[m_cells:]
+    ref = np.concatenate([[0.0], ref])[m_cells:]
+    decay = np.exp(-(spec.lam * grid.axis_nodes(0) - ref))
     if spec.stationary:
         values, method = spec.sigma * decay * integ, "hou_stationary"
     else:
-        values, method = decay * (xi + spec.sigma * integ), "hou"
-    meta = FieldMeta(spec=z.meta.spec, method=method, internal=z.meta.internal)
+        values, method = decay * (xi * np.exp(-ref) + spec.sigma * integ), "hou"
+    meta = FieldMeta(spec=sheet_spec, method=method,
+                     internal=max(fine_mesh(path_grid.steps, n_internal)))
     return RandomField(grid=grid, values=values, meta=meta)
 
 

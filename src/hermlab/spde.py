@@ -31,7 +31,6 @@ from .core import (
     UnsupportedError,
     green,  # noqa: F401  (re-exported as spde.green)
 )
-from .fields import simulate_hermite_sheet
 from .integrals import WienerFunctional
 from .quadrature import (
     effective_exponents,
@@ -99,6 +98,11 @@ class HeatSpec:
     def d(self) -> int:
         return len(self.h)
 
+    @property
+    def steps(self) -> tuple[int, ...]:
+        """Grid cells per axis of the sampled sheet, time first."""
+        return (self.t_steps,) + (self.x_steps,) * self.d
+
     def half_width(self, t: float) -> float:
         return self.trunc if self.trunc is not None else 6.0 * math.sqrt(t)
 
@@ -111,7 +115,7 @@ def window_coverage(t: float, half_width: float, d: int, panels: int = 512) -> f
 
 
 @functools.lru_cache(maxsize=64)
-def _mild_setup(spec: HeatSpec, t: float, x: tuple) -> tuple:
+def _mild_setup(spec: HeatSpec, t: float, x: tuple) -> WienerFunctional:
     L = spec.half_width(t)
     cov = window_coverage(t, L, spec.d)
     if cov < 0.99:
@@ -120,15 +124,13 @@ def _mild_setup(spec: HeatSpec, t: float, x: tuple) -> tuple:
         )
     origins = [0.0] + [xa - L for xa in x]
     extents = [t] + [2.0 * L] * spec.d
-    steps = [spec.t_steps] + [spec.x_steps] * spec.d
-    grid = GridSpec(origins, extents, steps)
-    return grid, WienerFunctional(HeatWindow(t, x, L), grid)
+    return WienerFunctional(HeatWindow(t, x, L), GridSpec(origins, extents, spec.steps))
 
 
 def sample_mild_solution(spec: HeatSpec, t: float, x, stream: np.random.Generator) -> float:
     """One draw of the discretized mild solution u(t, x): a Riemann-Stieltjes
-    sum of the heat window against increments of a simulated (d+1)-parameter
-    Hermite sheet on [0,t] x [x-L, x+L]^d."""
+    sum of the heat window against the cell increments of a simulated
+    (d+1)-parameter Hermite sheet on [0,t] x [x-L, x+L]^d."""
     x = tuple(float(v) for v in np.atleast_1d(x))
     if len(x) != spec.d:
         raise DomainError("spatial point dimension mismatch")
@@ -136,9 +138,8 @@ def sample_mild_solution(spec: HeatSpec, t: float, x, stream: np.random.Generato
         raise DomainError("t must be >= 0")
     if t == 0:
         return 0.0
-    grid, functional = _mild_setup(spec, float(t), x)
     sheet_spec = HermiteSpec(spec.q, HurstMultiIndex((spec.h0,) + spec.h))
-    return functional(simulate_hermite_sheet(sheet_spec, grid, spec.n_internal, stream))
+    return _mild_setup(spec, float(t), x).sample(sheet_spec, spec.n_internal, stream)
 
 
 # ---------------------------------------------------------------------------

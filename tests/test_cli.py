@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from hermlab import acceptance, cli
+from hermlab import acceptance, cli, integrals
 from hermlab.cli import main
 from hermlab.stats import collect_samples
 
@@ -177,6 +177,32 @@ class TestContract:
             "threads": os.cpu_count() or 1,
         }
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["integral", "--hurst", "0.7", "--reps", "4", "--grid", "64", "--n-internal", "1000",
+          "--panels", "64"], [1024]),
+        (["sweep", "--target", "half", "--hurst-grid", "0.75", "--reps", "4", "--grid", "64",
+          "--n-internal", "1024", "--panels", "64"], [1024]),
+        (["heat", "--h0", "0.6", "--hurst", "0.6", "--reps", "2", "--t-steps", "32",
+          "--x-steps", "48", "--n-internal", "64", "--trunc", "4"], [64, 48]),
+        (["ou", "--hurst", "0.7", "--reps", "4", "--grid", "64", "--n-internal", "1024"], [1024]),
+        # the stationary driving path covers [-6, 1]: 384 + 64 cells at stride 2
+        (["ou", "--stationary", "--horizon", "6", "--hurst", "0.7", "--reps", "4", "--grid", "64",
+          "--n-internal", "1024"], [896]),
+    ], ids=["integral", "sweep", "heat", "ou", "ou_stationary"])
+    def test_manifest_records_the_fine_mesh(self, capsys, argv, expected):
+        code, out, _ = run(capsys, *argv, "--seed", "5", "--threads", "1")
+        assert code == 0
+        assert load_json(out)["manifest"]["runtime"]["fine_mesh"] == expected
+
+    @pytest.mark.parametrize("q,hurst,expected", [("2", "0.7,0.8", [64, 64]), ("1", "0.4", [16])])
+    def test_simulate_manifest_records_the_fine_mesh(self, tmp_path, capsys, q, hurst, expected):
+        out_csv = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "simulate", "--q", q, "--hurst", hurst, "--grid", "16",
+                         "--n-internal", "64", "--seed", "3", "--out", str(out_csv))
+        assert code == 0
+        with open(str(out_csv) + ".manifest.json") as fh:
+            assert json.load(fh)["manifest"]["runtime"]["fine_mesh"] == expected
+
     def test_powercount_payload_byte_identical(self, tmp_path, capsys):
         args = ["powercount", "--spec", cycle_path(tmp_path), "--H", "3/5", "--gamma", "4/5"]
         texts = []
@@ -266,7 +292,7 @@ class TestContract:
         def exhausted(*args):
             raise MemoryError("cannot allocate the fine mesh")
 
-        monkeypatch.setattr(cli, "simulate_hermite_sheet", exhausted)
+        monkeypatch.setattr(integrals, "hermite_sheet_increments", exhausted)
         code, out, err = run(capsys, "integral", "--hurst", "0.7", "--reps", "4", "--grid", "64",
                              "--n-internal", "1024", "--panels", "64")
         assert code == 2

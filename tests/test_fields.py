@@ -47,6 +47,18 @@ class TestHermitePoly:
         with pytest.raises(DomainError):
             hermite_poly(-1, 0.0)
 
+    @pytest.mark.parametrize("q", range(7))
+    def test_matches_reference_recurrence_bit_for_bit(self, q):
+        x = derive_stream(SEED, 30).standard_normal((33, 17))[:, ::2]  # a strided view
+        before = x.copy()
+        ref_prev, ref = np.ones_like(x), x
+        for n in range(1, q):
+            ref, ref_prev = x * ref - n * ref_prev, ref
+        got = hermite_poly(q, x)
+        assert got.tobytes() == (ref_prev if q == 0 else ref).tobytes()
+        assert got is not x
+        assert x.tobytes() == before.tobytes()
+
 
 class TestGaussianSheet:
     def test_origin_zero_and_shape(self):
@@ -160,6 +172,25 @@ class TestHermiteSheet:
         g = GridSpec([0, 0], [1, 1], [16, 16])
         z = simulate_hermite_sheet(HermiteSpec(2, (0.7, 0.8)), g, 128, derive_stream(SEED, 0))
         assert z.values[0, 0] == 0.0
+
+    @pytest.mark.parametrize("H,steps,n_internal", [
+        (0.7, (128,), 1024), ((0.7, 0.8), (32, 16), 256),
+    ], ids=["d1", "d2"])
+    def test_values_are_the_padded_cumsum_of_the_increments(self, H, steps, n_internal):
+        g = GridSpec([0.0] * len(steps), [1.0] * len(steps), steps)
+        spec = HermiteSpec(2, H)
+        incr = fields.hermite_sheet_increments(spec, g, n_internal, derive_stream(SEED + 31, 0))
+        z = simulate_hermite_sheet(spec, g, n_internal, derive_stream(SEED + 31, 0))
+        assert incr.shape == steps
+        assert z.values.tobytes() == fields._padded_cumsum(incr).tobytes()
+        assert z.meta.internal == max(fields.fine_mesh(steps, n_internal))
+
+    def test_fine_mesh_rounds_to_whole_strides(self):
+        assert fields.fine_mesh((512,), 2**14) == (2**14,)
+        assert fields.fine_mesh((512, 512), 512) == (512, 512)
+        assert fields.fine_mesh((100, 48, 1000), 1000) == (1000, 1008, 1000)
+        with pytest.raises(DomainError):
+            fields.fine_mesh((16,), 63)
 
     def test_gaussian_sheet_is_the_q1_stride1_hermite_sheet(self):
         g = GridSpec([0, 0], [1, 2], [64, 96])  # n_internal 64 rounds to stride 1 on both

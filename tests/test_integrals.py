@@ -23,6 +23,7 @@ from hermlab.integrals import (
     wiener_hermite_integral,
 )
 from hermlab.quadrature import QuadratureConfig, inner_product_HH
+from hermlab.spde import HeatSpec, _mild_setup
 from hermlab.stats import ks_distance, target_cdf_hermite_limit
 
 SEED = 2210
@@ -129,6 +130,21 @@ class TestWienerFunctional:
                                       derive_stream(SEED + 7, 0))
         box = IndicatorBox([0.1, 0.2], [0.7, 0.9])
         assert WienerFunctional(box, g2)(fld2) == wiener_hermite_integral(box, fld2)
+
+    def test_sample_equals_the_call_on_the_same_stream(self):
+        # sample dots the sheet's increments directly; the call differences the
+        # node values back into increments, so the two agree up to rounding
+        W = WienerFunctional(ExpWindow(1.0, 1.0), GridSpec(0.0, 1.0, 512))
+        spec = HermiteSpec(2, 0.7)
+        heat = HeatSpec(2, 0.55, (0.55,), trunc=4.0, t_steps=512, x_steps=512, n_internal=512)
+        H = _mild_setup(heat, 1.0, (0.0,))
+        heat_spec = HermiteSpec(2, (0.55, 0.55))
+        for rep in range(2):
+            for functional, sheet, n_internal in ((W, spec, 2**14), (H, heat_spec, 512)):
+                got = functional.sample(sheet, n_internal, derive_stream(SEED + 8, rep))
+                field = simulate_hermite_sheet(sheet, functional.grid, n_internal,
+                                               derive_stream(SEED + 8, rep))
+                assert got == pytest.approx(functional(field), rel=1e-12, abs=0.0)
 
     def test_truncation_raised_at_construction(self):
         with pytest.raises(TruncationError):

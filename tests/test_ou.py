@@ -12,9 +12,11 @@ from hermlab.core import (
     derive_stream,
     midpoint_mesh,
 )
-from hermlab.fields import simulate_hermite_sheet
+from hermlab.fields import hermite_sheet_increments, simulate_hermite_sheet
 from hermlab.ou import (
     OUSpec,
+    draw_xi,
+    driving_grid,
     ou_limit_cdf_H1,
     ou_limit_covariance,
     simulate_hou,
@@ -91,9 +93,10 @@ class TestStationary:
         h = g.mesh[0]
         m = int(math.ceil(spec.M / h - 1e-12))
         path = GridSpec(-m * h, m * h + 1.0, m + 64)
-        z = simulate_hermite_sheet(HermiteSpec(2, 0.7), path, 1024, derive_stream(SEED + 12, 0))
+        incr = hermite_sheet_increments(HermiteSpec(2, 0.7), path, 1024,
+                                        derive_stream(SEED + 12, 0))
         mids = midpoint_mesh([path.axis_nodes(0)]).reshape(-1)
-        dz = np.exp(spec.lam * mids) * np.diff(z.values)
+        dz = np.exp(spec.lam * mids) * incr
         integ = np.concatenate([[0.0], np.cumsum(dz)])[m:]
         ref = spec.sigma * np.exp(-spec.lam * g.axis_nodes(0)) * integ
         np.testing.assert_array_equal(x.values, ref)
@@ -158,6 +161,29 @@ class TestStationary:
         c_b = np.mean(xs[:, 64] * xs[:, 128])
         se = np.std(xs[:, 0] * xs[:, 64]) / math.sqrt(len(xs)) * 2
         assert abs(c_a - c_b) < 4 * se
+
+
+class TestLongHorizon:
+    @pytest.mark.parametrize("stationary", [False, True], ids=["nonstationary", "stationary"])
+    def test_finite_and_equal_to_the_direct_sum_at_lam_T_800(self, stationary):
+        # e^(lam u) alone overflows past lam u = 709; the direct reference
+        # takes each weight e^(-lam (t_k - u_j)) as one exponent of a difference
+        spec = OUSpec(1.0, 1.0, q=2, H=0.7, xi=0.0 if stationary else 0.5,
+                      stationary=stationary)
+        g = GridSpec(0, 800, 512)
+        x = simulate_hou(spec, g, derive_stream(SEED + 14, 0), 1024)
+        path = driving_grid(spec, g)
+        stream = derive_stream(SEED + 14, 0)
+        xi = 0.0 if stationary else draw_xi(spec.xi, stream)
+        incr = hermite_sheet_increments(HermiteSpec(2, 0.7), path, 1024, stream)
+        mids = midpoint_mesh([path.axis_nodes(0)]).reshape(-1)
+        nodes = g.axis_nodes(0)
+        lag = nodes[:, None] - mids[None, :]
+        weights = np.where(lag > 0, np.exp(-spec.lam * np.maximum(lag, 0.0)), 0.0)
+        ref = np.exp(-spec.lam * nodes) * xi + spec.sigma * (weights @ incr)
+        assert np.all(np.isfinite(x.values))
+        np.testing.assert_allclose(x.values, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert np.abs(x.values[-64:]).max() > 0.0
 
 
 class TestLimits:
