@@ -22,8 +22,6 @@ from .core import (
     TruncationError,
     UnsupportedError,
     derive_stream,
-    integrand_eval,
-    rectangle_increment,
 )
 
 __all__ = [
@@ -43,7 +41,5 @@ __all__ = [
     "TruncationError",
     "UnsupportedError",
     "derive_stream",
-    "integrand_eval",
-    "rectangle_increment",
     "__version__",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -63,21 +63,21 @@ class HurstMultiIndex:
 
 @dataclass(frozen=True)
 class HermiteSpec:
-    """Identifies the law of a Hermite sheet: chaos order q, Hurst index, dimension."""
+    """Identifies the law of a Hermite sheet: chaos order q and Hurst index;
+    the parameter dimension d is the length of the Hurst index."""
 
     q: int
     hurst: HurstMultiIndex
-    d: int = 0
 
     def __post_init__(self):
         if self.q < 1:
             raise DomainError(f"chaos order q={self.q} must be >= 1")
         if not isinstance(self.hurst, HurstMultiIndex):
             object.__setattr__(self, "hurst", HurstMultiIndex(self.hurst))
-        if self.d == 0:
-            object.__setattr__(self, "d", len(self.hurst))
-        if self.d < 1 or len(self.hurst) != self.d:
-            raise DomainError("parameter dimension must match the Hurst multi-index")
+
+    @property
+    def d(self) -> int:
+        return len(self.hurst)
 
 
 @dataclass(frozen=True)
@@ -129,22 +129,12 @@ class GridSpec:
         return np.asarray(self.origins) + np.asarray(self.extents)
 
 
-@dataclass(frozen=True)
-class FieldMeta:
-    """Provenance of a sampled field (spec, generation method, internal mesh)."""
-
-    spec: Optional[HermiteSpec]
-    method: str
-    internal: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class RandomField:
-    """Sampled process values on a rectangular grid, plus provenance metadata."""
+    """Sampled process values on a rectangular grid."""
 
     grid: GridSpec
     values: np.ndarray
-    meta: FieldMeta
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape:
@@ -205,7 +195,7 @@ class Integrand:
     """A deterministic function on R^d from a closed enumerated family.
 
     Subclasses provide pointwise (vectorized) evaluation plus a bounding box
-    of the support, which quadrature, Monte Carlo and admissibility checks
+    of the support, which quadrature, Monte Carlo and truncation checks
     all consume.  Points are arrays of shape (..., d).
     """
 
@@ -423,14 +413,6 @@ class Marginal(Integrand):
         return self.f.eval(full).sum(axis=-1) * width
 
 
-def integrand_eval(f: Integrand, point) -> float:
-    """Pointwise value of an integrand at a single point."""
-    pts = np.asarray(point, dtype=float).reshape(-1)
-    if pts.shape[0] != f.d:
-        raise DomainError(f"point dimension {pts.shape[0]} != integrand dimension {f.d}")
-    return float(f.eval(pts))
-
-
 def midpoint_mesh(edges: Sequence[np.ndarray]) -> np.ndarray:
     """Cell midpoints of the product of per-axis edge arrays, shape
     (n_0, ..., n_{d-1}, d) in "ij" order, ready for Integrand.eval."""
@@ -439,28 +421,8 @@ def midpoint_mesh(edges: Sequence[np.ndarray]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rectangle increments
+# Cell increments
 # ---------------------------------------------------------------------------
-
-def rectangle_increment(field: RandomField, lo: Sequence[int], hi: Sequence[int]) -> float:
-    """Alternating-sign increment of a d-parameter field over the grid
-    rectangle [lo, hi]; lo and hi are node multi-indices."""
-    d = field.grid.d
-    lo = tuple(int(i) for i in np.atleast_1d(lo))
-    hi = tuple(int(i) for i in np.atleast_1d(hi))
-    if len(lo) != d or len(hi) != d:
-        raise DomainError("corner index dimension mismatch")
-    shape = field.grid.shape
-    for a in range(d):
-        if not (0 <= lo[a] <= hi[a] < shape[a]):
-            raise DomainError(f"corner indices out of grid on axis {a}")
-    total = 0.0
-    for r in itertools.product((0, 1), repeat=d):
-        corner = tuple(hi[a] if r[a] else lo[a] for a in range(d))
-        sign = -1.0 if (d - sum(r)) % 2 else 1.0
-        total += sign * float(field.values[corner])
-    return total
-
 
 def cell_increments(values: np.ndarray) -> np.ndarray:
     """Rectangle increments of every grid cell at once (successive diffs)."""

@@ -33,7 +33,6 @@ import scipy.fft as sfft
 
 from .core import (
     DomainError,
-    FieldMeta,
     GridSpec,
     HermiteSpec,
     HurstMultiIndex,
@@ -183,18 +182,25 @@ def fine_mesh(steps: Sequence[int], n_internal: int) -> tuple[int, ...]:
     return tuple(s * max(1, round(n_internal / s)) for s in steps)
 
 
-def _increments(Hs, q, grid, N, stream) -> np.ndarray:
-    """The one sheet pipeline: a stationary unit Gaussian array with per-axis
-    correlation rho_H(k)^(1/q) on the fine mesh of N[a] cells per axis,
-    pushed through H_q, block-summed into grid cells and scaled in place by
-    c = prod_a h_a^(H_a) / sqrt(q!), h_a the fine cell width: the grid-cell
-    increments."""
+def check_sheet_cells(N: Sequence[int]) -> None:
+    """Raise ResourceError when a fine mesh of N[a] cells per axis needs a
+    circulant above SHEET_CELL_CAP cells; a caller that allocates for the
+    sheet first can call it up front."""
     cells = math.prod(2 * n for n in N)
     if cells > SHEET_CELL_CAP:
         raise ResourceError(
             f"circulant of {cells} cells exceeds the sampler cap {SHEET_CELL_CAP}; "
             "lower the grid or the fine mesh"
         )
+
+
+def _increments(Hs, q, grid, N, stream) -> np.ndarray:
+    """The one sheet pipeline: a stationary unit Gaussian array with per-axis
+    correlation rho_H(k)^(1/q) on the fine mesh of N[a] cells per axis,
+    pushed through H_q, block-summed into grid cells and scaled in place by
+    c = prod_a h_a^(H_a) / sqrt(q!), h_a the fine cell width: the grid-cell
+    increments."""
+    check_sheet_cells(N)
     xi = _stationary_unit_field(_spectral_scale(Hs, q, N), stream)
     strides = [n // s for n, s in zip(N, grid.steps)]
     width = [e / n for e, n in zip(grid.extents, N)]
@@ -221,12 +227,7 @@ def simulate_fractional_gaussian_sheet(
     for h in Hs:
         if not 0.0 < h < 1.0:
             raise DomainError(f"Hurst exponent {h} not in (0, 1)")
-    spec = None
-    if all(0.5 < h < 1.0 for h in Hs):
-        spec = HermiteSpec(1, HurstMultiIndex(Hs))
-    values = _padded_cumsum(_increments(Hs, 1, grid, grid.steps, stream))
-    meta = FieldMeta(spec=spec, method="circulant", internal=max(grid.steps))
-    return RandomField(grid=grid, values=values, meta=meta)
+    return RandomField(grid, _padded_cumsum(_increments(Hs, 1, grid, grid.steps, stream)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +268,8 @@ def simulate_hermite_sheet(
 ) -> RandomField:
     """Approximate sample of a Hermite sheet on the grid nodes: the padded
     cumulative sum of hermite_sheet_increments on the same stream."""
-    values = _padded_cumsum(hermite_sheet_increments(spec, grid, n_internal, stream))
-    internal = max(fine_mesh(grid.steps, n_internal))
-    return RandomField(grid=grid, values=values,
-                       meta=FieldMeta(spec=spec, method="hermite_rank", internal=internal))
+    incr = hermite_sheet_increments(spec, grid, n_internal, stream)
+    return RandomField(grid, _padded_cumsum(incr))
 
 
 # ---------------------------------------------------------------------------

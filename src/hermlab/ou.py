@@ -12,7 +12,6 @@ import numpy as np
 
 from .core import (
     DomainError,
-    FieldMeta,
     GridSpec,
     HermiteSpec,
     HurstMultiIndex,
@@ -20,7 +19,7 @@ from .core import (
     UnsupportedError,
     midpoint_mesh,
 )
-from .fields import fine_mesh, hermite_sheet_increments
+from .fields import hermite_sheet_increments
 from .stats import target_cdf_hermite_limit
 
 XiSpec = Union[float, tuple]
@@ -124,12 +123,10 @@ def simulate_hou(
     ref = np.concatenate([[0.0], ref])[m_cells:]
     decay = np.exp(-(spec.lam * grid.axis_nodes(0) - ref))
     if spec.stationary:
-        values, method = spec.sigma * decay * integ, "hou_stationary"
+        values = spec.sigma * decay * integ
     else:
-        values, method = decay * (xi * np.exp(-ref) + spec.sigma * integ), "hou"
-    meta = FieldMeta(spec=sheet_spec, method=method,
-                     internal=max(fine_mesh(path_grid.steps, n_internal)))
-    return RandomField(grid=grid, values=values, meta=meta)
+        values = decay * (xi * np.exp(-ref) + spec.sigma * integ)
+    return RandomField(grid, values)
 
 
 def ou_limit_covariance(kind: str, t: float, s: float, lam: float, sigma: float) -> float:

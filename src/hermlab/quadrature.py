@@ -142,7 +142,7 @@ def _as_hurst_tuple(H) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The <f,g> inner product and the H-bar norm
+# The <f,g> inner product
 # ---------------------------------------------------------------------------
 
 def inner_product_HH(f: Integrand, g: Integrand, H, cfg: QuadratureConfig = DEFAULT_CFG) -> float:
@@ -168,94 +168,6 @@ def inner_product_HH(f: Integrand, g: Integrand, H, cfg: QuadratureConfig = DEFA
         T = _contract(T, _mass_kernel(ef[a], eg[a], 2.0 * Hs[a] - 2.0), 0)
     pref = float(np.prod([h * (2.0 * h - 1.0) for h in Hs]))
     return pref * float(np.sum(T * G))
-
-
-def hbar_norm(
-    f: Integrand,
-    H,
-    scenario: LimitScenario,
-    cfg: QuadratureConfig = DEFAULT_CFG,
-) -> float:
-    """Norm controlling the H->1 limit of Wiener integrals.
-
-    Sum over prefixes A_j of the scenario's A_k (in the given enumeration
-    order) of
-
-        int du_{A_j} | int int |f(u,v)| |f(u,w)|
-                        prod_{a not in A_j} |v_a-w_a|^(2H_a-2) dv dw |^(1/2);
-
-    when A_k covers every axis the L1 norm of f is added and the sum stops
-    at j = d-1.  No H(2H-1) prefactor on the inner kernel.
-    """
-    Hs = _as_hurst_tuple(H)
-    d = f.d
-    if len(Hs) != d:
-        raise DomainError("H must have one entry per axis")
-    a_axes = scenario.a_axes
-    k = len(a_axes)
-    if k < 1 or k > d:
-        raise DomainError("scenario must send at least one axis to the limit")
-    if d > 3 or min(k, d - 1) > 2:
-        raise UnsupportedError("hbar norm supports d <= 3 and k <= 2 prefix terms")
-
-    edges = _panel_edges(f, cfg.panels)
-    widths = [float(e[1] - e[0]) for e in edges]
-    Fa = np.abs(f.eval(midpoint_mesh(edges)))
-    total = 0.0
-    if k == d:
-        total += float(np.sum(Fa)) * float(np.prod(widths))
-
-    for j in range(1, min(k, d - 1) + 1):
-        outer = sorted(a_axes[:j])
-        inner = [a for a in range(d) if a not in outer]
-        # outer axes to the front, then flatten them
-        Fm = np.moveaxis(Fa, outer, range(j))
-        m = int(np.prod(Fm.shape[:j]))
-        inner_shape = Fm.shape[j:]
-        F2 = Fm.reshape(m, *inner_shape)
-        T = F2
-        for a in inner:
-            T = _contract(T, _mass_kernel(edges[a], edges[a], 2.0 * Hs[a] - 2.0), 1)
-        inner_vals = np.sum(T * F2, axis=tuple(range(1, 1 + len(inner))))
-        outer_vol = float(np.prod([widths[a] for a in outer]))
-        total += float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0)))) * outer_vol
-    return total
-
-
-# ---------------------------------------------------------------------------
-# L^p admissibility
-# ---------------------------------------------------------------------------
-
-class LpReport(NamedTuple):
-    l1: float
-    l2: float
-    l_1_over_h: float
-    admissible: bool
-
-
-def lp_admissibility(f: Integrand, H, cfg: QuadratureConfig = DEFAULT_CFG) -> LpReport:
-    """L1, L2 and mixed L^(1/H) norms over the support box, plus the
-    membership flag from the inclusion chain L1 n L2 c L^(1/H) c |H_H|.
-
-    The 1/H norm is the iterated (mixed) norm with exponent 1/H_a on axis a,
-    integrating axis 0 innermost.
-    """
-    Hs = _as_hurst_tuple(H)
-    if len(Hs) != f.d:
-        raise DomainError("H must have one entry per axis")
-    edges = _panel_edges(f, cfg.panels)
-    vals = np.abs(f.eval(midpoint_mesh(edges)))
-    widths = [float(e[1] - e[0]) for e in edges]
-    vol = float(np.prod(widths))
-    l1 = float(np.sum(vals)) * vol
-    l2 = math.sqrt(float(np.sum(vals**2)) * vol)
-    A = vals
-    for a in range(f.d):
-        p = 1.0 / Hs[a]
-        A = (np.sum(A**p, axis=0) * widths[a]) ** (1.0 / p)
-    lh = float(A)
-    ok = bool(np.isfinite(l1) and np.isfinite(l2))
-    return LpReport(l1, l2, lh, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +208,17 @@ def effective_exponents(d: int, scenario: LimitScenario) -> EffectiveExponents:
 
 def limit_constant(H_fixed: Sequence[float], k: int) -> float:
     """Prefactor of the limit covariance when k axes collapse to white noise:
-    (2 pi)^(-k/2) * prod_fixed q_(2H-1) * Gamma(1-H), using
-    int exp(-tau^2) |tau|^(1-2H) dtau = Gamma(1-H)."""
+    (2 pi)^(-k/2) * prod_fixed H(2H-1) q_(2H-1) 2^(1-H) Gamma(1-H), using
+    int exp(-tau^2/2) |tau|^(1-2H) dtau = 2^(1-H) Gamma(1-H) for the heat
+    kernel's Fourier weight; each fixed axis keeps its pre-limit factor."""
     if k < 0:
         raise DomainError("k must be >= 0")
     out = TWO_PI ** (-0.5 * k)
     for h in H_fixed:
         if not 0.5 < h < 1.0:
             raise DomainError(f"fixed Hurst {h} not in (1/2, 1)")
-        out *= q_alpha(2.0 * h - 1.0) * float(gamma_fn(1.0 - h))
+        out *= (h * (2.0 * h - 1.0) * q_alpha(2.0 * h - 1.0)
+                * 2.0 ** (1.0 - h) * float(gamma_fn(1.0 - h)))
     return float(out)
 
 

@@ -31,6 +31,7 @@ from .core import (
     UnsupportedError,
     green,  # noqa: F401  (re-exported as spde.green)
 )
+from .fields import check_sheet_cells, fine_mesh
 from .integrals import WienerFunctional
 from .quadrature import (
     effective_exponents,
@@ -116,6 +117,7 @@ def window_coverage(t: float, half_width: float, d: int, panels: int = 512) -> f
 
 @functools.lru_cache(maxsize=64)
 def _mild_setup(spec: HeatSpec, t: float, x: tuple) -> WienerFunctional:
+    check_sheet_cells(fine_mesh(spec.steps, spec.n_internal))  # before the weights
     L = spec.half_width(t)
     cov = window_coverage(t, L, spec.d)
     if cov < 0.99:
@@ -143,11 +145,11 @@ def sample_mild_solution(spec: HeatSpec, t: float, x, stream: np.random.Generato
 
 
 # ---------------------------------------------------------------------------
-# Covariance quadrature (d = 1)
+# Covariance quadrature
 # ---------------------------------------------------------------------------
 
 def heat_covariance_quadrature(spec: HeatSpec, t: float, s: float, x=None) -> float:
-    """E u(t,x) u(s,x) for the d=1 heat equation via the spectral reduction:
+    """E u(t,x) u(s,x) for the heat equation in any d via the spectral reduction:
 
         H0(2H0-1) * prod_a [ H_a(2H_a-1) q_(2H_a-1) 2^(1-H_a) Gamma(1-H_a) ]
         * int_0^t int_0^s |u-v|^(2H0-2) (t+s-u-v)^(sum H - d) du dv,
@@ -155,8 +157,6 @@ def heat_covariance_quadrature(spec: HeatSpec, t: float, s: float, x=None) -> fl
     where 2^(1-H) Gamma(1-H) = int |tau|^(1-2H) e^(-tau^2/2) dtau.  The value
     does not depend on x (spatial stationarity).
     """
-    if spec.d != 1:
-        raise UnsupportedError("covariance quadrature implemented for d = 1")
     if t < 0 or s < 0:
         raise DomainError("t and s must be >= 0")
     if t == 0 or s == 0:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from hermlab import acceptance, cli, integrals
+from hermlab import acceptance, cli, integrals, spde
 from hermlab.cli import main
 from hermlab.stats import collect_samples
 
@@ -140,6 +140,16 @@ class TestHeat:
         assert code == 0
         assert load_json(out)["gamma_cond"] == 2.6
 
+    def test_d2_oversize_sheet_is_exit_2(self, capsys, monkeypatch):
+        # the default 512 steps per axis give a 2**30-cell circulant in d = 2
+        def reached(*args):
+            raise AssertionError("weights built for a sheet the sampler refuses")
+
+        monkeypatch.setattr(spde, "WienerFunctional", reached)
+        code, out, err = run(capsys, "heat", "--h0", "0.6", "--hurst", "0.8,0.8", "--reps", "2")
+        assert code == 2 and out == ""
+        assert "exceeds the sampler cap" in err
+
     def test_existence_violation_is_error(self, capsys):
         code, _, err = run(
             capsys, "heat", "--q", "2", "--h0", "0.6", "--hurst", "0.6,0.6,0.6",
@@ -188,7 +198,9 @@ class TestContract:
         # the stationary driving path covers [-6, 1]: 384 + 64 cells at stride 2
         (["ou", "--stationary", "--horizon", "6", "--hurst", "0.7", "--reps", "4", "--grid", "64",
           "--n-internal", "1024"], [896]),
-    ], ids=["integral", "sweep", "heat", "ou", "ou_stationary"])
+        (["heat", "--h0", "0.6", "--hurst", "0.8,0.8", "--reps", "4", "--t-steps", "16",
+          "--x-steps", "16", "--n-internal", "64", "--trunc", "4"], [64, 64, 64]),
+    ], ids=["integral", "sweep", "heat", "ou", "ou_stationary", "heat_d2"])
     def test_manifest_records_the_fine_mesh(self, capsys, argv, expected):
         code, out, _ = run(capsys, *argv, "--seed", "5", "--threads", "1")
         assert code == 0
@@ -224,7 +236,9 @@ class TestContract:
          "--n-internal", "1024"],
         ["sweep", "--target", "one", "--q", "3", "--hurst-grid", "0.9,0.99", "--reps", "40",
          "--grid", "64", "--n-internal", "1024", "--panels", "64"],
-    ], ids=["integral", "ou", "sweep", "heat", "ou_stationary", "sweep_one_q3"])
+        ["heat", "--h0", "0.6", "--hurst", "0.8,0.8", "--reps", "4", "--t-steps", "16",
+         "--x-steps", "16", "--n-internal", "64", "--trunc", "4"],
+    ], ids=["integral", "ou", "sweep", "heat", "ou_stationary", "sweep_one_q3", "heat_d2"])
     def test_mc_payloads_byte_identical_and_thread_independent(self, capsys, argv):
         payloads = []
         for threads in ("1", "1", "2"):

@@ -6,7 +6,6 @@ import pytest
 from hermlab.core import (
     DomainError,
     ExpWindow,
-    FieldMeta,
     GridSpec,
     HeatWindow,
     HermiteSpec,
@@ -15,9 +14,8 @@ from hermlab.core import (
     LimitScenario,
     RandomField,
     Tabulated,
+    cell_increments,
     derive_stream,
-    integrand_eval,
-    rectangle_increment,
     write_fields_csv,
 )
 
@@ -27,7 +25,7 @@ def make_field(values, origins=None, extents=None):
     d = values.ndim
     steps = [s - 1 for s in values.shape]
     grid = GridSpec(origins or [0.0] * d, extents or [1.0] * d, steps)
-    return RandomField(grid, values, FieldMeta(None, "test"))
+    return RandomField(grid, values)
 
 
 class TestTypes:
@@ -44,6 +42,8 @@ class TestTypes:
             HermiteSpec(0, HurstMultiIndex(0.7))
         spec = HermiteSpec(2, (0.6, 0.7))
         assert spec.d == 2
+        with pytest.raises(TypeError):  # d is read from the Hurst index, never passed
+            HermiteSpec(2, (0.6, 0.7), 2)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -57,7 +57,7 @@ class TestTypes:
     def test_field_shape_checked(self):
         g = GridSpec(0, 1, 4)
         with pytest.raises(DomainError):
-            RandomField(g, np.zeros(4), FieldMeta(None, "t"))
+            RandomField(g, np.zeros(4))
 
     def test_scenario_disjointness(self):
         with pytest.raises(DomainError):
@@ -69,38 +69,32 @@ class TestTypes:
 
 
 class TestRectangleIncrement:
+    """cell_increments: the alternating-sign increment of every grid cell."""
+
     def test_d1_is_difference(self):
-        fld = make_field([1.0, 4.0, 9.0])
-        assert rectangle_increment(fld, (0,), (2,)) == 8.0
+        assert cell_increments(np.array([1.0, 4.0, 9.0])).tolist() == [3.0, 5.0]
 
     def test_d2_alternating_sum(self):
         vals = np.array([[0.0, 1.0], [2.0, 7.0]])
-        fld = make_field(vals)
-        assert rectangle_increment(fld, (0, 0), (1, 1)) == 7.0 - 1.0 - 2.0 + 0.0
+        assert cell_increments(vals).tolist() == [[7.0 - 1.0 - 2.0 + 0.0]]
 
     def test_constant_field_zero(self):
-        fld = make_field(np.full((4, 4, 4), 3.7))
-        assert rectangle_increment(fld, (0, 1, 0), (3, 3, 2)) == pytest.approx(0.0)
+        incr = cell_increments(np.full((4, 4, 4), 3.7))
+        assert incr.shape == (3, 3, 3)
+        np.testing.assert_allclose(incr, 0.0, atol=1e-12)
 
     def test_additive_split(self):
-        rng = np.random.default_rng(0)
-        fld = make_field(rng.standard_normal((6, 6)))
-        whole = rectangle_increment(fld, (0, 1), (5, 5))
-        left = rectangle_increment(fld, (0, 1), (3, 5))
-        right = rectangle_increment(fld, (3, 1), (5, 5))
-        assert whole == pytest.approx(left + right, abs=1e-12)
-
-    def test_out_of_grid_rejected(self):
-        fld = make_field(np.zeros((3, 3)))
-        with pytest.raises(DomainError):
-            rectangle_increment(fld, (0, 0), (3, 1))
+        # the cells of a block telescope to the block's corner sum
+        v = np.random.default_rng(0).standard_normal((6, 6))
+        block = cell_increments(v)[0:5, 1:5].sum()
+        assert block == pytest.approx(v[5, 5] - v[0, 5] - v[5, 1] + v[0, 1], abs=1e-12)
 
 
 class TestIntegrands:
     def test_indicator_inside_outside(self):
         f = IndicatorBox([0, 0], [1, 1])
-        assert integrand_eval(f, (0.5, 0.3)) == 1.0
-        assert integrand_eval(IndicatorBox(0, 1), (1.5,)) == 0.0
+        assert float(f.eval(np.array([0.5, 0.3]))) == 1.0
+        assert float(IndicatorBox(0, 1).eval(np.array([1.5]))) == 0.0
 
     def test_indicator_binary_valued(self):
         f = IndicatorBox([0], [1])
@@ -110,25 +104,25 @@ class TestIntegrands:
 
     def test_exp_window_value(self):
         f = ExpWindow(1.0, 1.0)
-        assert integrand_eval(f, 0.0) == pytest.approx(math.exp(-1.0))
-        assert integrand_eval(f, -0.1) == 0.0
+        assert float(f.eval(np.array([0.0]))) == pytest.approx(math.exp(-1.0))
+        assert float(f.eval(np.array([-0.1]))) == 0.0
 
     def test_heat_window_time_support(self):
         f = HeatWindow(1.0, (0.0,), 6.0)
-        assert integrand_eval(f, (1.5, 0.0)) == 0.0
-        assert integrand_eval(f, (-0.1, 0.0)) == 0.0
+        assert float(f.eval(np.array([1.5, 0.0]))) == 0.0
+        assert float(f.eval(np.array([-0.1, 0.0]))) == 0.0
         # at u=0.5 the value is the heat kernel at time 0.5
-        assert integrand_eval(f, (0.5, 0.0)) == pytest.approx((2 * math.pi * 0.5) ** -0.5)
+        assert float(f.eval(np.array([0.5, 0.0]))) == pytest.approx((2 * math.pi * 0.5) ** -0.5)
 
     def test_tabulated_interp_and_outside(self):
         g = GridSpec(0, 1, 2)
         f = Tabulated(g, np.array([0.0, 1.0, 0.0]))
-        assert integrand_eval(f, 0.25) == pytest.approx(0.5)
-        assert integrand_eval(f, 2.0) == 0.0
+        assert float(f.eval(np.array([0.25]))) == pytest.approx(0.5)
+        assert float(f.eval(np.array([2.0]))) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            integrand_eval(IndicatorBox([0, 0], [1, 1]), (0.5,))
+            IndicatorBox([0, 0], [1, 1]).eval(np.array([0.5]))
 
     def test_finite_everywhere(self):
         f = HeatWindow(1.0, (0.0, 0.0), 4.0)

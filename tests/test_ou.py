@@ -100,7 +100,6 @@ class TestStationary:
         integ = np.concatenate([[0.0], np.cumsum(dz)])[m:]
         ref = spec.sigma * np.exp(-spec.lam * g.axis_nodes(0)) * integ
         np.testing.assert_array_equal(x.values, ref)
-        assert x.meta.method == "hou_stationary"
 
     def test_xi_consumes_no_draw(self):
         g = GridSpec(0, 1, 64)

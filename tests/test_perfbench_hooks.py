@@ -1,11 +1,14 @@
-"""The names the benchmark's traced run reaches into hermlab for: every span
-target of perfbench/spans.py and both cache counters of perfbench/worker.py.
-A refactor that renames one of them fails here, not in the benchmark."""
+"""The names the benchmark reaches into hermlab for: every span target of
+perfbench/spans.py, both cache counters of perfbench/worker.py, and every
+module attribute the perfbench scripts read.  A refactor that renames or
+deletes one of them fails here, not in the benchmark."""
+import ast
 import importlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import spans  # noqa: E402
 import worker  # noqa: E402
@@ -28,3 +31,18 @@ def test_every_span_target_is_present_and_restored():
 def test_cache_counters_are_readable():
     counts = worker._cache_counts()
     assert {"fields.eig_cache_misses", "spde.setup_cache_misses"} <= set(counts)
+
+
+def test_every_module_attribute_perfbench_reads_resolves():
+    modules = {"core", "fields", "integrals", "ou", "powercount", "quadrature", "spde", "stats"}
+    names = {
+        (node.value.id, node.attr)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert ("spde", "sample_mild_solution") in names  # the walk still sees the workloads
+    missing = sorted(f"{m}.{a}" for m, a in names
+                     if not hasattr(importlib.import_module(f"hermlab.{m}"), a))
+    assert missing == []

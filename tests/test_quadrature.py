@@ -20,11 +20,9 @@ from hermlab.quadrature import (
     contraction_norm_sq,
     effective_exponents,
     fbm_time_kernel_integral,
-    hbar_norm,
     inner_product_HH,
     limit_constant,
     limit_covariance_bifractional,
-    lp_admissibility,
     q_alpha,
     sigma_limit,
 )
@@ -210,63 +208,6 @@ class TestApplyLags:
         assert k.shape == (128, 128)
 
 
-class TestHbarNorm:
-    def test_indicator_2d_value(self):
-        f = IndicatorBox([0, 0], [1, 1])
-        sc = LimitScenario(a_axes=(0,), fixed={1: 0.75})
-        v = hbar_norm(f, (0.75, 0.75), sc, CFG)
-        assert v == pytest.approx((1 / (0.75 * 0.5)) ** 0.5, rel=1e-9)
-
-    def test_zero_integrand(self):
-        g = GridSpec([0, 0], [1, 1], [8, 8])
-        z = Tabulated(g, np.zeros((9, 9)))
-        sc = LimitScenario(a_axes=(0,), fixed={1: 0.75})
-        assert hbar_norm(z, (0.75, 0.75), sc, CFG) == 0.0
-
-    def test_k_equals_d_adds_l1(self):
-        f = IndicatorBox([0, 0], [1, 1])
-        sc = LimitScenario(a_axes=(0, 1))
-        v = hbar_norm(f, (0.75, 0.75), sc, CFG)
-        # L1 norm (=1) plus the single j=1 prefix term
-        assert v == pytest.approx(1.0 + (1 / (0.75 * 0.5)) ** 0.5, rel=1e-9)
-
-    def test_unsupported_sizes(self):
-        f = IndicatorBox([0] * 4, [1] * 4)
-        with pytest.raises(UnsupportedError):
-            hbar_norm(f, (0.7,) * 4, LimitScenario(a_axes=(0,), fixed={1: 0.7, 2: 0.7, 3: 0.7}), CFG)
-
-    def test_heat_window_finite_and_stable(self):
-        # the mild-solution window has a finite prefix norm whenever the
-        # existence condition holds; the value stabilizes under refinement
-        from hermlab.core import HeatWindow
-
-        w = HeatWindow(1.0, (0.0,), 6.0)
-        sc = LimitScenario(a_axes=(0,), fixed={1: 0.7})
-        v1 = hbar_norm(w, (0.7, 0.7), sc, QuadratureConfig(panels=64))
-        v2 = hbar_norm(w, (0.7, 0.7), sc, QuadratureConfig(panels=128))
-        assert np.isfinite(v1) and v1 > 0
-        assert v2 == pytest.approx(v1, rel=0.05)
-
-
-class TestLp:
-    def test_indicator_all_ones(self):
-        rep = lp_admissibility(UNIT, 0.7, CFG)
-        assert rep.l1 == pytest.approx(1.0, rel=1e-9)
-        assert rep.l2 == pytest.approx(1.0, rel=1e-9)
-        assert rep.l_1_over_h == pytest.approx(1.0, rel=1e-9)
-        assert rep.admissible
-
-    def test_exp_window_l1(self):
-        rep = lp_admissibility(EXP, 0.7, QuadratureConfig(panels=2048))
-        assert rep.l1 == pytest.approx(1 - math.exp(-1), rel=1e-5)
-
-    def test_zero(self):
-        g = GridSpec(0, 1, 8)
-        z = Tabulated(g, np.zeros(9))
-        rep = lp_admissibility(z, 0.7, CFG)
-        assert rep.l1 == 0.0 and rep.l2 == 0.0 and rep.admissible
-
-
 class TestConstants:
     def test_q_alpha_half(self):
         assert q_alpha(0.5) == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-12)
@@ -298,8 +239,9 @@ class TestConstants:
     def test_limit_constant_values(self):
         assert limit_constant([], 1) == pytest.approx((2 * math.pi) ** -0.5, rel=1e-12)
         from scipy.special import gamma as G
-        v = limit_constant([0.75], 1)
-        assert v == pytest.approx((2 * math.pi) ** -0.5 * q_alpha(0.5) * G(0.25), rel=1e-12)
+        v = limit_constant([0.75], 1)  # a fixed axis keeps H(2H-1) q_(2H-1) 2^(1-H) Gamma(1-H)
+        fixed = 0.75 * 0.5 * q_alpha(0.5) * 2**0.25 * G(0.25)
+        assert v == pytest.approx((2 * math.pi) ** -0.5 * fixed, rel=1e-12)
 
     def test_bifractional(self):
         assert limit_covariance_bifractional(1, 1, 0.5, 1.0) == pytest.approx(math.sqrt(2))

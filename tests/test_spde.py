@@ -10,6 +10,7 @@ from hermlab.core import (
     HermiteSpec,
     HurstMultiIndex,
     LimitScenario,
+    ResourceError,
     UnsupportedError,
     derive_stream,
 )
@@ -100,10 +101,16 @@ class TestCovarianceQuadrature:
         b = inner_product_HH(w, w, (0.7, 0.7), QuadratureConfig(panels=400))
         assert a == pytest.approx(b, rel=0.005)
 
-    def test_d2_unsupported(self):
-        spec = HeatSpec(2, 0.9, (0.9, 0.9))
-        with pytest.raises(UnsupportedError):
-            heat_covariance_quadrature(spec, 1.0, 1.0)
+    def test_d2_against_window_inner_product(self):
+        # the spectral product over spatial axes against the 3-axis singular
+        # quadrature of the heat window, which converges to it from below
+        from hermlab.core import HeatWindow
+
+        a = heat_covariance_quadrature(HeatSpec(2, 0.6, (0.8, 0.8)), 1.0, 1.0)
+        w = HeatWindow(1.0, (0.0, 0.0), 6.0)
+        err = [inner_product_HH(w, w, (0.6, 0.8, 0.8), QuadratureConfig(panels=p)) / a - 1.0
+               for p in (64, 128)]
+        assert abs(err[1]) <= 0.01 and abs(err[1]) < abs(err[0])
 
     def test_time_regularity_exponent(self):
         # fitted slope of E|u(t)-u(s)|^2 vs |t-s| near the predicted exponent 1
@@ -152,6 +159,16 @@ class TestMildSolution:
         with pytest.raises(DomainError):
             sample_mild_solution(spec, 1.0, 0.0, derive_stream(SEED, 0))
 
+    def test_oversize_sheet_refused_before_the_weights(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("weights built for a sheet the sampler refuses")
+
+        monkeypatch.setattr(spde, "WienerFunctional", reached)
+        # d = 2 at 512 steps per axis: a (2 * 512)**3 = 2**30-cell circulant
+        spec = HeatSpec(2, 0.6, (0.8, 0.8), t_steps=512, x_steps=512, n_internal=512)
+        with pytest.raises(ResourceError):
+            sample_mild_solution(spec, 1.0, (0.0, 0.0), derive_stream(SEED, 0))
+
     def test_coverage_helper(self):
         assert window_coverage(1.0, 6.0, 1) > 1 - 1e-7
         assert window_coverage(1.0, 0.5, 1) < 0.9
@@ -180,6 +197,20 @@ class TestLimits:
         v_lim = heat_limit_covariance(sc, 0.7, 1.0, 1.0)
         v_near = heat_covariance_quadrature(HeatSpec(2, 0.7, (0.5001,)), 1.0, 1.0)
         assert v_lim == pytest.approx(v_near, rel=0.005)
+
+    @pytest.mark.parametrize("h0,t,s,axis,h_fixed,rel", [
+        (0.7, 1.0, 1.0, 0, 0.8, 1e-3), (0.7, 1.0, 0.5, 0, 0.8, 1e-3), (0.7, 1.0, 1.0, 1, 0.65, 1e-3),
+        (None, 1.0, 1.0, 0, 0.8, 5e-3), (None, 1.0, 1.0, 1, 0.65, 5e-3),
+    ])
+    def test_d2_fixed_axis_limit_consistent_with_quadrature(self, h0, t, s, axis, h_fixed, rel):
+        # d = 2, one spatial axis to 1/2 and the other fixed, H0 fixed (case 2)
+        # or to 1/2 too (case 1): the fixed axis keeps its pre-limit factor
+        sc = LimitScenario(a_axes=(axis,), fixed={1 - axis: h_fixed})
+        h = [h_fixed, h_fixed]
+        h[axis] = 0.5001
+        v_lim = heat_limit_covariance(sc, h0, t, s)
+        v_near = heat_covariance_quadrature(HeatSpec(2, h0 or 0.5001, tuple(h)), t, s)
+        assert v_lim == pytest.approx(v_near, rel=rel)
 
     def test_case3_sampler_refused(self):
         # every axis to 1 leaves no sheet; the law is t H_q(Z)/sqrt(q!) exactly
