@@ -145,13 +145,8 @@ class RandomField:
 
 @dataclass(frozen=True)
 class LimitScenario:
-    """Which axes are driven to a Hurst limit: A_k -> the primary limit,
-    B_p -> 1, the rest pinned at the values in `fixed`.
-
-    For H->1 scenarios A_k collects the axes sent to 1 (B_p unused); for
-    H->1/2 scenarios A_k collects the axes sent to 1/2 while B_p may send
-    further axes to 1.
-    """
+    """Which axes are driven to a Hurst limit: A_k -> 1/2, B_p -> 1, the
+    rest pinned at the values in `fixed`."""
 
     a_axes: tuple[int, ...] = ()
     b_axes: tuple[int, ...] = ()

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -16,32 +16,30 @@ from .core import (
     HermiteSpec,
     HurstMultiIndex,
     RandomField,
-    UnsupportedError,
     midpoint_mesh,
 )
 from .fields import hermite_sheet_increments
 from .stats import target_cdf_hermite_limit
-
-XiSpec = Union[float, tuple]
 
 _EXP_SPAN = 512.0  # largest exponent of a path weight; float64 overflows past 709
 
 
 @dataclass(frozen=True)
 class OUSpec:
-    """Langevin parameters: dX = -lam X dt + sigma dZ^q_H, initial condition
-    xi (a constant or ("gaussian", mean, var)), optional stationary mode with
-    truncation horizon M for the infinite-past window."""
+    """Langevin parameters: dX = -lam X dt + sigma dZ^q_H, constant initial
+    condition xi, optional stationary mode with truncation horizon M for the
+    infinite-past window."""
 
     lam: float
     sigma: float
     q: int
     H: float
-    xi: XiSpec = 0.0
+    xi: float = 0.0
     stationary: bool = False
     M: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "xi", float(self.xi))
         if self.lam <= 0 or self.sigma <= 0:
             raise DomainError("need lam > 0 and sigma > 0")
         if self.q < 1:
@@ -51,20 +49,6 @@ class OUSpec:
 
     def horizon(self) -> float:
         return self.M if self.M is not None else 10.0 / self.lam
-
-
-def draw_xi(xi: XiSpec, stream: np.random.Generator) -> float:
-    if isinstance(xi, tuple):
-        kind = xi[0]
-        if kind == "const":
-            return float(xi[1])
-        if kind == "gaussian":
-            _, mean, var = xi
-            if var < 0:
-                raise DomainError("xi variance must be >= 0")
-            return float(mean) + math.sqrt(var) * float(stream.standard_normal())
-        raise DomainError(f"unknown initial-condition kind {kind!r}")
-    return float(xi)
 
 
 def driving_grid(spec: OUSpec, grid: GridSpec) -> GridSpec:
@@ -92,12 +76,13 @@ def simulate_hou(
 ) -> RandomField:
     """Hermite OU path on a one-parameter grid over [0, T].
 
-    Nonstationary spec: Y(t) = e^(-lam t) (xi + sigma int_0^t e^(lam u) dZ).
-    xi is drawn first (once per replicate, independent of the driving
-    sheet), then the cell increments of one Hermite path on the grid.
+    Nonstationary spec: Y(t) = e^(-lam t) (xi + sigma int_0^t e^(lam u) dZ),
+    driven by the cell increments of one Hermite path on the grid.
 
     Stationary spec: X(t) = sigma int_(-M)^t e^(-lam (t-u)) dZ(u), with the
-    driving path on [-M, T] (see driving_grid) and no draw for xi.
+    driving path on [-M, T] (see driving_grid); xi is not used.
+
+    The stream feeds the driving path alone.
 
     Both integrals are midpoint Riemann-Stieltjes cumulative sums of the
     increments.  The weights e^(lam u) are taken relative to a reference
@@ -107,7 +92,6 @@ def simulate_hou(
     """
     path_grid = driving_grid(spec, grid)
     m_cells = path_grid.steps[0] - grid.steps[0]
-    xi = 0.0 if spec.stationary else draw_xi(spec.xi, stream)
     sheet_spec = HermiteSpec(spec.q, HurstMultiIndex(spec.H))
     dz = hermite_sheet_increments(sheet_spec, path_grid, n_internal, stream)
     lam_mids = spec.lam * midpoint_mesh([path_grid.axis_nodes(0)]).reshape(-1)
@@ -125,7 +109,7 @@ def simulate_hou(
     if spec.stationary:
         values = spec.sigma * decay * integ
     else:
-        values = decay * (xi * np.exp(-ref) + spec.sigma * integ)
+        values = decay * (spec.xi * np.exp(-ref) + spec.sigma * integ)
     return RandomField(grid, values)
 
 
@@ -149,21 +133,18 @@ def ou_limit_cdf_H1(
     t: float,
     lam: float,
     sigma: float,
-    xi: XiSpec,
+    xi: float,
     q: int,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Exact CDF of the H->1 limit law: e^(-lam t) xi + sigma (1-e^(-lam t))
-    H_q(Z)/sqrt(q!) in the nonstationary case (t > 0 and a constant xi; a
-    Gaussian xi is refused), (sigma/lam) H_q(Z)/sqrt(q!) (time-independent)
-    in the stationary case."""
+    H_q(Z)/sqrt(q!) in the nonstationary case (t > 0), (sigma/lam)
+    H_q(Z)/sqrt(q!) (time-independent) in the stationary case."""
     if lam <= 0 or sigma <= 0:
         raise DomainError("need lam > 0 and sigma > 0")
     if kind == "nonstationary":
         if t <= 0:
             raise DomainError("the nonstationary limit law needs t > 0")
-        if isinstance(xi, tuple) and xi[0] == "gaussian":
-            raise UnsupportedError("the limit CDF needs a constant initial condition")
-        shift = math.exp(-lam * t) * draw_xi(xi, None)
+        shift = math.exp(-lam * t) * float(xi)
         scale = sigma * (1.0 - math.exp(-lam * t))
     elif kind == "stationary":
         shift, scale = 0.0, sigma / lam

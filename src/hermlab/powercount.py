@@ -125,18 +125,6 @@ def span_closure(system: FunctionalSystem, W: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def is_padded(system: FunctionalSystem, W: Iterable[int]) -> bool:
-    """Span-closed and every member is redundant inside W (vacuous for the
-    empty set)."""
-    Ws = frozenset(W)
-    if span_closure(system, Ws) != Ws:
-        return False
-    for i in Ws:
-        if i not in span_closure(system, Ws - {i}):
-            return False
-    return True
-
-
 def _require_closed(system, W) -> frozenset[int]:
     Ws = frozenset(W)
     if span_closure(system, Ws) != Ws:

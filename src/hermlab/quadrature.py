@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn
+from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn, hyp2f1
 
 from .core import (
     DomainError,
@@ -321,8 +321,8 @@ def fbm_time_kernel_integral(t: float, s: float, h0: float, gexp: float) -> floa
         I = (1/2G) [ int |p|^c (T-|p|)^G dp - int |p|^c |D-p|^G dp ],
         c = 2*h0 - 2,
 
-    whose pieces are incomplete Beta integrals plus one smooth 1-D integral,
-    all evaluated to near machine precision.
+    whose pieces are incomplete Beta integrals and, for t != s, two
+    Gauss hypergeometric values, all evaluated to near machine precision.
     """
     if t < 0 or s < 0:
         raise DomainError("t and s must be >= 0")
@@ -348,14 +348,12 @@ def fbm_time_kernel_integral(t: float, s: float, h0: float, gexp: float) -> floa
     if D == 0.0:
         i2 = (s ** (c + G + 1.0) + t ** (c + G + 1.0)) / (c + G + 1.0)
     else:
-        from scipy.integrate import quad  # only here: it loads scipy.optimize and scipy.sparse
         # p in [0, D]: a complete Beta integral
         i2 = D ** (c + G + 1.0) * float(beta_fn(c + 1.0, G + 1.0))
-        # p in [-s, 0] and [D, t]: int_0^s x^a (D+x)^b dx, smooth away from 0
+        # p in [-s, 0] and [D, t]: int_0^s x^a (D+x)^b dx
+        #   = s^(a+1) (D+s)^b / (a+1) 2F1(-b, 1; a+2; s/(D+s)),
+        # Euler's integral and Pfaff's transformation (DLMF 15.6.1, 15.8.1)
         for a, b in ((c, G), (G, c)):
-            val, _ = quad(
-                lambda x, a=a, b=b: x**a * (D + x) ** b, 0.0, s,
-                limit=200, epsabs=1e-12, epsrel=1e-11,
-            )
-            i2 += val
+            i2 += s ** (a + 1.0) * (D + s) ** b / (a + 1.0) * float(
+                hyp2f1(-b, 1.0, a + 2.0, s / (D + s)))
     return (i1 - i2) / (2.0 * G)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import erf, gamma as gamma_fn
+from scipy.special import erf
 
 from .core import (
     DomainError,
@@ -27,7 +27,6 @@ from .core import (
     HurstMultiIndex,
     LimitScenario,
     Marginal,
-    RandomField,
     UnsupportedError,
     green,  # noqa: F401  (re-exported as spde.green)
 )
@@ -38,7 +37,6 @@ from .quadrature import (
     fbm_time_kernel_integral,
     limit_constant,
     limit_covariance_bifractional,
-    q_alpha,
 )
 
 
@@ -154,28 +152,22 @@ def heat_covariance_quadrature(spec: HeatSpec, t: float, s: float, x=None) -> fl
         H0(2H0-1) * prod_a [ H_a(2H_a-1) q_(2H_a-1) 2^(1-H_a) Gamma(1-H_a) ]
         * int_0^t int_0^s |u-v|^(2H0-2) (t+s-u-v)^(sum H - d) du dv,
 
-    where 2^(1-H) Gamma(1-H) = int |tau|^(1-2H) e^(-tau^2/2) dtau.  The value
-    does not depend on x (spatial stationarity).
+    where the product is quadrature.limit_constant(H, 0) and
+    2^(1-H) Gamma(1-H) = int |tau|^(1-2H) e^(-tau^2/2) dtau.  The value does
+    not depend on x (spatial stationarity).
     """
     if t < 0 or s < 0:
         raise DomainError("t and s must be >= 0")
     if t == 0 or s == 0:
         return 0.0
     h0 = spec.h0
-    pref = h0 * (2.0 * h0 - 1.0)
-    for ha in spec.h:
-        pref *= (
-            ha * (2.0 * ha - 1.0)
-            * q_alpha(2.0 * ha - 1.0)
-            * 2.0 ** (1.0 - ha)
-            * float(gamma_fn(1.0 - ha))
-        )
     gexp = sum(spec.h) - spec.d
-    return pref * fbm_time_kernel_integral(t, s, h0, gexp)
+    return (h0 * (2.0 * h0 - 1.0) * limit_constant(spec.h, 0)
+            * fbm_time_kernel_integral(t, s, h0, gexp))
 
 
 # ---------------------------------------------------------------------------
-# Limit covariances and limit samplers
+# Limit covariances and the H -> 1 limit functional
 # ---------------------------------------------------------------------------
 
 def heat_limit_covariance(
@@ -209,46 +201,26 @@ def heat_limit_covariance(
     return scale * time_part
 
 
-def heat_limit_sampler_H1(
-    scenario: LimitScenario,
-    h0: Optional[float],
-    t: float,
-    x,
-    lower: RandomField,
-    outer_panels: int = 64,
-) -> float:
-    """Sample of the limit law of u(t,x) when Hurst components tend to 1.
+def heat_limit_functional(t: float, x, axes, grid: GridSpec, panels: int = 64) -> WienerFunctional:
+    """The H -> 1 limit of u(t,x) as one functional on the lower sheet.
 
-    h0 = None drives the time index to 1.  `lower` is a Hermite sheet over
-    the axes that stay stochastic (time first when h0 is fixed) and the limit
-    is the Wiener integral of Marginal(window, collapsed axes, outer_panels)
-    against it, one functional per (window, grid) reused across replicates.
-    Case 3, the time index and every spatial axis driven to 1, leaves no
-    sheet: its limit is t H_q(Z)/sqrt(q!), whose CDF at y is
+    `axes` are the window axes sent to 1, numbered as Marginal numbers
+    them: 0 is time and 1 + a is spatial axis a.  `grid` carries the axes
+    that stay stochastic, in their order, and its extent around x on the
+    kept spatial axes fixes the window truncation.  The limit is the Wiener
+    integral of Marginal(window, axes, panels) against a Hermite sheet on
+    `grid`; draw it with .sample(HermiteSpec(q, kept Hurst values),
+    n_internal, stream).  Every axis sent to 1 (case 3) leaves no sheet: its
+    limit is t H_q(Z)/sqrt(q!), whose CDF at y is
     stats.target_cdf_hermite_limit(q)(y / t).
     """
     x = tuple(float(v) for v in np.atleast_1d(x))
-    d = len(x)
-    a_spatial = scenario.a_axes
-    for a in a_spatial:
-        if not 0 <= a < d:
-            raise DomainError(f"spatial axis {a} out of range")
-    if h0 is None and len(a_spatial) == d:
+    axes = tuple(sorted(int(a) for a in axes))
+    if axes == tuple(range(len(x) + 1)):
         raise UnsupportedError("case 3 leaves no sheet: its law is t H_q(Z)/sqrt(q!), "
                                "see stats.target_cdf_hermite_limit")
-    lo, hi = lower.grid.lo(), lower.grid.hi()
-    sp_off = 0 if h0 is None else 1
-    # spatial half-width available on the lower grid around x fixes the window
-    # truncation on the axes that stay stochastic
-    fixed_spatial = [a for a in range(d) if a not in a_spatial]
-    widths = [min(x[a] - lo[sp_off + i], hi[sp_off + i] - x[a])
-              for i, a in enumerate(fixed_spatial)]
+    kept = [j for j in range(len(x) + 1) if j not in axes]
+    widths = [min(x[j - 1] - lo, hi - x[j - 1])
+              for j, lo, hi in zip(kept, grid.lo(), grid.hi()) if j > 0]
     trunc = min(widths) if widths else 6.0 * math.sqrt(t)
-    axes = ((0,) if h0 is None else ()) + tuple(1 + a for a in a_spatial)
-    marginal = Marginal(HeatWindow(t, x, trunc), axes, outer_panels)
-    return _limit_functional(marginal, lower.grid)(lower)
-
-
-@functools.lru_cache(maxsize=64)
-def _limit_functional(marginal: Marginal, grid: GridSpec) -> WienerFunctional:
-    return WienerFunctional(marginal, grid)
+    return WienerFunctional(Marginal(HeatWindow(t, x, trunc), axes, panels), grid)

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +152,18 @@ class TestHeat:
         code, out, err = run(capsys, "heat", "--h0", "0.6", "--hurst", "0.8,0.8", "--reps", "2")
         assert code == 2 and out == ""
         assert "exceeds the sampler cap" in err
+
+    def test_t_ne_s_near_half_is_quiet(self):
+        # H0 near 1/2 puts a near-1/x singularity at an end of the t != s
+        # time integral; the closed form gives it without a warning
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hermlab.cli", "heat", "--h0", "0.5001", "--hurst", "0.55",
+             "--t", "1", "--s", "0.5"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert load_json(proc.stdout)["quadrature_covariance"] > 0
 
     def test_existence_violation_is_error(self, capsys):
         code, _, err = run(

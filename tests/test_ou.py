@@ -8,14 +8,12 @@ from hermlab.core import (
     ExpWindow,
     GridSpec,
     HermiteSpec,
-    UnsupportedError,
     derive_stream,
     midpoint_mesh,
 )
 from hermlab.fields import hermite_sheet_increments, simulate_hermite_sheet
 from hermlab.ou import (
     OUSpec,
-    draw_xi,
     driving_grid,
     ou_limit_cdf_H1,
     ou_limit_covariance,
@@ -58,7 +56,7 @@ class TestNonstationary:
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=0.7, xi=0.5)
         g = GridSpec(0, 1, 2**12)
         stream = derive_stream(SEED + 2, 0)
-        # reproduce the internals: same stream gives xi then the path
+        # reproduce the internals: the stream feeds the path alone
         xi = 0.5
         y = simulate_hou(spec, g, stream, 2**13)
         # rebuild the driving path from the same derived stream
@@ -105,9 +103,8 @@ class TestStationary:
         g = GridSpec(0, 1, 64)
         base = dict(lam=1.0, sigma=1.3, q=2, H=0.7, stationary=True, M=6.0)
         x0 = simulate_hou(OUSpec(**base, xi=0.0), g, derive_stream(SEED + 13, 0), 1024)
-        xg = simulate_hou(OUSpec(**base, xi=("gaussian", 0.5, 2.0)), g,
-                          derive_stream(SEED + 13, 0), 1024)
-        np.testing.assert_array_equal(x0.values, xg.values)
+        x1 = simulate_hou(OUSpec(**base, xi=0.5), g, derive_stream(SEED + 13, 0), 1024)
+        np.testing.assert_array_equal(x0.values, x1.values)
 
     def test_truncation_refused(self):
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=0.7, stationary=True, M=3.0)
@@ -173,7 +170,7 @@ class TestLongHorizon:
         x = simulate_hou(spec, g, derive_stream(SEED + 14, 0), 1024)
         path = driving_grid(spec, g)
         stream = derive_stream(SEED + 14, 0)
-        xi = 0.0 if stationary else draw_xi(spec.xi, stream)
+        xi = 0.0 if stationary else spec.xi
         incr = hermite_sheet_increments(HermiteSpec(2, 0.7), path, 1024, stream)
         mids = midpoint_mesh([path.axis_nodes(0)]).reshape(-1)
         nodes = g.axis_nodes(0)
@@ -202,8 +199,6 @@ class TestLimits:
         shift, scale = 0.5 * math.exp(-2.0), 2.0 * (1.0 - math.exp(-2.0))
         got = ou_limit_cdf_H1("nonstationary", 2.0, 1.0, 2.0, 0.5, 3)(x)
         assert np.array_equal(got, hq((x - shift) / scale))
-        assert np.array_equal(ou_limit_cdf_H1("nonstationary", 2.0, 1.0, 2.0, ("const", 0.5), 3)(x),
-                              got)
         assert np.array_equal(ou_limit_cdf_H1("stationary", 5.0, 4.0, 2.0, 0.0, 3)(x), hq(2.0 * x))
 
     def test_limit_cdf_q1_gaussian(self):
@@ -214,8 +209,6 @@ class TestLimits:
         assert np.max(np.abs(got - ndtr(2.0 * x))) <= 1e-15
 
     def test_limit_cdf_refusals(self):
-        with pytest.raises(UnsupportedError):
-            ou_limit_cdf_H1("nonstationary", 1.0, 1.0, 1.0, ("gaussian", 0.0, 1.0), 2)
         with pytest.raises(DomainError):
             ou_limit_cdf_H1("nonstationary", 0.0, 1.0, 1.0, 0.0, 2)
         with pytest.raises(DomainError):

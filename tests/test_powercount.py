@@ -13,7 +13,6 @@ from hermlab.powercount import (
     cycle_system,
     d0,
     d_infinity,
-    is_padded,
     span_closure,
     system_from_dict,
 )
@@ -23,6 +22,18 @@ def diag_system(alphas, betas):
     m = len(alphas)
     fns = [AffineFunctional([F(int(i == j)) for j in range(m)]) for i in range(m)]
     return FunctionalSystem(m, fns, alphas, betas)
+
+
+def is_padded(system, W):
+    """Span-closed and every member is redundant inside W (vacuous for the
+    empty set)."""
+    Ws = frozenset(W)
+    if span_closure(system, Ws) != Ws:
+        return False
+    for i in Ws:
+        if i not in span_closure(system, Ws - {i}):
+            return False
+    return True
 
 
 def reference_check(system):

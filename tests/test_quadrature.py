@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -370,3 +371,20 @@ class TestTimeKernelIntegral:
         ref = float(np.sum(W * K))
         val = fbm_time_kernel_integral(1.0, 1.0, h0, g)
         assert val == pytest.approx(ref, rel=2e-3)
+
+    @pytest.mark.parametrize("t,s,h0,gexp", [
+        (1.0, 0.999999, 0.5001, -0.95), (1.0, 0.5, 0.5001, -0.45), (2.0, 1.0, 0.7, -0.3),
+    ])
+    def test_against_mpmath_at_t_ne_s(self, t, s, h0, gexp):
+        # 50-digit reference: incomplete Beta pieces, a complete Beta on
+        # [0, D], and int_0^s x^a (D+x)^b dx = s^(a+1) D^b/(a+1)
+        # 2F1(-b, a+1; a+2; -s/D), a hypergeometric form the code does not use
+        with mpmath.workdps(50):
+            tt, ss, G = mpmath.mpf(t), mpmath.mpf(s), mpmath.mpf(gexp) + 1
+            T, D, c = tt + ss, tt - ss, 2 * mpmath.mpf(h0) - 2
+            i1 = sum(T ** (c + G + 1) * mpmath.betainc(c + 1, G + 1, 0, L / T) for L in (ss, tt))
+            i2 = D ** (c + G + 1) * mpmath.beta(c + 1, G + 1)
+            for a, b in ((c, G), (G, c)):
+                i2 += ss ** (a + 1) * D ** b / (a + 1) * mpmath.hyp2f1(-b, a + 1, a + 2, -ss / D)
+            ref = float((i1 - i2) / (2 * G))
+        assert abs(fbm_time_kernel_integral(t, s, h0, gexp) - ref) <= 1e-10 * abs(ref)

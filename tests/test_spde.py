@@ -23,7 +23,7 @@ from hermlab.spde import (
     green,
     heat_covariance_quadrature,
     heat_limit_covariance,
-    heat_limit_sampler_H1,
+    heat_limit_functional,
     sample_mild_solution,
     window_coverage,
 )
@@ -214,56 +214,47 @@ class TestLimits:
 
     def test_case3_sampler_refused(self):
         # every axis to 1 leaves no sheet; the law is t H_q(Z)/sqrt(q!) exactly
-        sc = LimitScenario(a_axes=(0,))
-        lower = simulate_hermite_sheet(HermiteSpec(2, HurstMultiIndex(0.7)), GridSpec(0.0, 1.0, 8),
-                                       64, derive_stream(SEED, 0))
         with pytest.raises(UnsupportedError):
-            heat_limit_sampler_H1(sc, None, 1.0, 0.0, lower)
+            heat_limit_functional(1.0, 0.0, (0, 1), GridSpec(0.0, 1.0, 8))
 
     def test_case2_sampler_runs_and_centers(self):
-        # H0 fixed, the single spatial axis driven to 1: the lower field is a
+        # H0 fixed, the single spatial axis driven to 1: the lower sheet is a
         # one-parameter Hermite process in time
-        sc = LimitScenario(a_axes=(0,))
-        g = GridSpec(0.0, 1.0, 256)
+        W = heat_limit_functional(1.0, 0.0, (1,), GridSpec(0.0, 1.0, 256), panels=64)
         lower_spec = HermiteSpec(2, HurstMultiIndex(0.7))
-        xs = np.array([
-            heat_limit_sampler_H1(
-                sc, 0.7, 1.0, 0.0,
-                simulate_hermite_sheet(lower_spec, g, 2**12, derive_stream(SEED + 5, i)),
-                outer_panels=64,
-            )
-            for i in range(400)
-        ])
+        xs = np.array([W.sample(lower_spec, 2**12, derive_stream(SEED + 5, i))
+                       for i in range(400)])
         assert np.all(np.isfinite(xs))
         assert abs(xs.mean()) < 4 * xs.std() / math.sqrt(len(xs))
         assert xs.var() > 0.01
 
-    def test_limit_functional_built_once_per_window_and_grid(self):
-        sc = LimitScenario(a_axes=(0,))
-        g = GridSpec(0.0, 1.0, 64)
+    def test_sample_equals_the_functional_of_the_drawn_sheet(self):
+        # d = 2 case 1: time and spatial axis 0 to 1, a sheet on spatial axis 1
+        W = heat_limit_functional(1.0, (0.0, 0.0), (0, 1), GridSpec(-4.0, 8.0, 64), panels=16)
         spec = HermiteSpec(2, HurstMultiIndex(0.7))
-        spde._limit_functional.cache_clear()
         for i in range(3):
-            lower = simulate_hermite_sheet(spec, g, 256, derive_stream(SEED + 6, i))
-            heat_limit_sampler_H1(sc, 0.7, 1.0, 0.0, lower, outer_panels=16)
-        info = spde._limit_functional.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+            got = W.sample(spec, 512, derive_stream(SEED + 6, i))
+            ref = W(simulate_hermite_sheet(spec, W.grid, 512, derive_stream(SEED + 6, i)))
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_truncation_read_from_the_kept_spatial_axis(self):
+        # x = 0 on the kept axis [-2, 3]: the half-width is 2, the nearer edge
+        from hermlab.core import HeatWindow, Marginal
+        from hermlab.integrals import WienerFunctional
+
+        g = GridSpec(-2.0, 5.0, 32)
+        W = heat_limit_functional(1.0, (0.0, 0.0), (0, 1), g, panels=8)
+        ref = WienerFunctional(Marginal(HeatWindow(1.0, (0.0, 0.0), 2.0), (0, 1), 8), g)
+        assert np.array_equal(W.weights, ref.weights)
 
     def test_case1_sampler_variance_matches_high_H_quadrature(self):
         # d=2, spatial axis 0 to 1 (with time), axis 1 fixed at 0.7
         from hermlab.core import HeatWindow
 
-        sc = LimitScenario(a_axes=(0,), fixed={1: 0.7})
-        g = GridSpec(-4.0, 8.0, 256)
+        W = heat_limit_functional(1.0, (0.0, 0.0), (0, 1), GridSpec(-4.0, 8.0, 256), panels=48)
         lower_spec = HermiteSpec(2, HurstMultiIndex(0.7))
-        xs = np.array([
-            heat_limit_sampler_H1(
-                sc, None, 1.0, (0.0, 0.0),
-                simulate_hermite_sheet(lower_spec, g, 2**12, derive_stream(SEED + 4, i)),
-                outer_panels=48,
-            )
-            for i in range(600)
-        ])
+        xs = np.array([W.sample(lower_spec, 2**12, derive_stream(SEED + 4, i))
+                       for i in range(600)])
         w = HeatWindow(1.0, (0.0, 0.0), 4.0)
         quad = inner_product_HH(w, w, (0.99, 0.99, 0.7), QuadratureConfig(panels=48))
         se = np.std((xs - xs.mean()) ** 2) / math.sqrt(len(xs))
