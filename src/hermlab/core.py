@@ -167,12 +167,12 @@ class LimitScenario:
     def k(self) -> int:
         return len(self.a_axes)
 
-    def target(self, a_value: float, d: int) -> tuple[float, ...]:
-        """Per-axis limit Hurst values; axes in A_k map to `a_value`."""
+    def target(self, d: int) -> tuple[float, ...]:
+        """Per-axis limit Hurst values; axes in A_k map to 1/2."""
         out = []
         for j in range(d):
             if j in self.a_axes:
-                out.append(a_value)
+                out.append(0.5)
             elif j in self.b_axes:
                 out.append(1.0)
             elif j in self.fixed:

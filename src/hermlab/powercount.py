@@ -15,11 +15,16 @@ for every proper span-closed W including the empty set (only padded subsets
 when all beta_i >= -1).  Ranks and spans use only the linear parts: affine
 constants move singularities without changing dimensions.
 
-No floating point anywhere in this module.
+All linear algebra is over the integers: each functional's coefficients are
+scaled once to a primitive integer row, and one fraction-free row reduction
+against an integer echelon basis (`_reduce`) gives every rank and span
+closure.  Exponent sums are compared as integers scaled by the lcm of their
+denominators.  No floating point anywhere in this module.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -81,28 +86,53 @@ class FunctionalSystem:
         return len(self.functionals)
 
 
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(L, [v * L]) with L the lcm of the denominators: exact integer sums."""
+    L = math.lcm(*(v.denominator for v in values))
+    return L, [v.numerator * (L // v.denominator) for v in values]
+
+
+def _primitive(row: Sequence[Fraction]) -> list[int]:
+    """The row scaled by the lcm of its denominators, then divided by the
+    gcd of the result: the primitive integer row on the same line."""
+    _, ints = _scaled(row)
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _reduce(v: Sequence[int], basis: Sequence[tuple[int, list[int]]]) -> list[int]:
+    """Fraction-free reduction of the integer row v against an echelon basis
+    of (pivot column, primitive row) pairs, each row zero at the pivots of
+    the rows before it.  Returns the primitive remainder, which is zero at
+    every pivot and all zero iff v lies in the span of the basis."""
+    v = list(v)
+    for p, b in basis:
+        if v[p]:
+            bp, vp = b[p], v[p]
+            v = [bp * x - vp * y for x, y in zip(v, b)]
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _extend(basis: list, v: Sequence[int]) -> tuple[list, bool]:
+    """(basis of span(basis, v), whether v raised the rank)."""
+    w = _reduce(v, basis)
+    for p, x in enumerate(w):
+        if x:
+            return basis + [(p, w)], True
+    return basis, False
+
+
+def _basis(rows: Iterable[Sequence[Fraction]]) -> list:
+    basis: list = []
+    for row in rows:
+        basis, _ = _extend(basis, _primitive(row))
+    return basis
+
+
 def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by Gaussian elimination over the rationals."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                for c in range(col, ncols):
-                    mat[r][c] -= factor * mat[rank][c]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    """Exact rank of rational rows, by one `_reduce` per row."""
+    return len(_basis(rows))
 
 
 def _rows(system: FunctionalSystem, idx: Iterable[int]) -> list[tuple[Fraction, ...]]:
@@ -114,15 +144,14 @@ def rank_of(system: FunctionalSystem, W: Iterable[int]) -> int:
 
 
 def span_closure(system: FunctionalSystem, W: Iterable[int]) -> frozenset[int]:
-    """All members of T whose linear part lies in the rational span of W's."""
-    W = sorted(set(W))
-    base = _rows(system, W)
-    r = _rank(base)
-    out = set()
-    for i in range(system.size):
-        if i in W or _rank(base + [system.functionals[i].coeffs]) == r:
-            out.add(i)
-    return frozenset(out)
+    """All members of T whose linear part lies in the rational span of W's:
+    W is reduced once, then each row outside W once against its basis."""
+    W = set(W)
+    basis = _basis(_rows(system, sorted(W)))
+    return frozenset(
+        i for i, fn in enumerate(system.functionals)
+        if i in W or not any(_reduce(_primitive(fn.coeffs), basis))
+    )
 
 
 def _require_closed(system, W) -> frozenset[int]:
@@ -178,23 +207,43 @@ class IntegrabilityReport:
         }
 
 
+def _rank_table(rows: Sequence[list[int]]) -> list[int]:
+    """rank[S] for every subset S of the primitive integer rows, as a bit
+    mask, from one depth-first walk: S | 1 << i, with i above every member
+    of S, inherits the echelon basis of S and costs one `_reduce`."""
+    n = len(rows)
+    rank = [0] * (1 << n)
+    stack = [(0, 0, [])]  # (S, lowest index that may join S, basis of S)
+    while stack:
+        S, lo, basis = stack.pop()
+        for i in range(lo, n):
+            T = S | 1 << i
+            grown, raised = _extend(basis, rows[i])
+            rank[T] = rank[S] + raised
+            if i + 1 < n:
+                stack.append((T, i + 1, grown))
+    return rank
+
+
 def check_integrability(system: FunctionalSystem) -> IntegrabilityReport:
     """Evaluate both criteria exactly over the required subsets and return
     the verdict with the failing witnesses, if any.
 
     Every verdict comes from one table of exact ranks, rank[S] for each
-    subset S of T as a bit mask, each eliminated once: W is span-closed iff
+    subset S of T as a bit mask (see `_rank_table`): W is span-closed iff
     adding any i outside W raises the rank, and padded iff removing any i in
-    W keeps it.  Witnesses are listed by size, then in combinations order.
+    W keeps it.  Exponent sums are compared as integers, scaled by the lcm
+    of the exponent denominators.  Witnesses are listed by size, then in
+    combinations order.
     """
     n = system.size
     if n > MAX_FUNCTIONALS:
         raise ResourceError(f"|T|={n} exceeds the enumeration cap {MAX_FUNCTIONALS}")
-    rank = [0] * (1 << n)
-    for S in range(1, 1 << n):
-        rank[S] = _rank(_rows(system, (i for i in range(n) if S >> i & 1)))
+    rank = _rank_table([_primitive(f.coeffs) for f in system.functionals])
     full = (1 << n) - 1
-    zero = Fraction(0)
+    la, alphas = _scaled(system.alphas)
+    lb, betas = _scaled(system.betas)
+    beta_total = sum(betas)
     padded_only_zero = all(a > -1 for a in system.alphas)
     padded_only_inf = all(b >= -1 for b in system.betas)
     inconclusive_zero = any(a == -1 for a in system.alphas)
@@ -209,11 +258,10 @@ def check_integrability(system: FunctionalSystem) -> IntegrabilityReport:
                 continue  # not span-closed
             padded = all(rank[S & ~(1 << i)] == r for i in W)
             if W and not inconclusive_zero and (padded or not padded_only_zero):
-                if r + sum((system.alphas[i] for i in W), start=zero) <= 0:
+                if r * la + sum(alphas[i] for i in W) <= 0:
                     witnesses_zero.append(W)
             if S != full and (padded or not padded_only_inf):
-                outside = (system.betas[i] for i in range(n) if not S >> i & 1)
-                if rank[full] - r + sum(outside, start=zero) >= 0:
+                if (rank[full] - r) * lb + beta_total - sum(betas[i] for i in W) >= 0:
                     witnesses_inf.append(W)
 
     return IntegrabilityReport(
@@ -221,8 +269,8 @@ def check_integrability(system: FunctionalSystem) -> IntegrabilityReport:
         finite_at_infinity=not witnesses_inf,
         witnesses_zero=tuple(witnesses_zero),
         witnesses_infinity=tuple(witnesses_inf),
-        d0_full=Fraction(rank[full]) + sum(system.alphas, start=zero),
-        dinf_empty=Fraction(rank[full]) + sum(system.betas, start=zero),
+        d0_full=Fraction(rank[full] * la + sum(alphas), la),
+        dinf_empty=Fraction(rank[full] * lb + beta_total, lb),
     )
 
 
@@ -293,22 +341,24 @@ def system_from_dict(
     return FunctionalSystem(int(data["m"]), fns, alphas, betas)
 
 
+_CYCLE = tuple(AffineFunctional(c) for c in (
+    [1, -1, 0, 0],
+    [0, 1, -1, 0],
+    [0, 0, 1, -1],
+    [-1, 0, 0, 1],
+))
+
+
 def cycle_system(q: int, r: int, H: Fraction, gamma: Fraction) -> FunctionalSystem:
     """The four-functional cycle {y1-y2, y2-y3, y3-y4, y4-y1} with the
     contraction exponents near zero and -gamma at infinity; the system behind
-    the central-limit checks."""
+    the central-limit checks.  The functionals are built once, at import."""
     H = _frac(H)
     gamma = _frac(gamma)
     if not 1 <= r <= q - 1:
         raise DomainError("need 1 <= r <= q-1")
-    coeff = [
-        [1, -1, 0, 0],
-        [0, 1, -1, 0],
-        [0, 0, 1, -1],
-        [-1, 0, 0, 1],
-    ]
     a_r = 2 * (H - 1) * r / q
     a_qr = 2 * (H - 1) * (q - r) / q
     alphas = [a_r, a_r, a_qr, a_qr]
     betas = [-gamma] * 4
-    return FunctionalSystem(4, [AffineFunctional(c) for c in coeff], alphas, betas)
+    return FunctionalSystem(4, _CYCLE, alphas, betas)

@@ -81,7 +81,7 @@ def _mass_kernel(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> np.ndarr
     if all(
         np.max(np.abs(e - (e[0] + h * np.arange(len(e)))))
         <= 4.0 * np.finfo(float).eps * np.max(np.abs(e))
-        for e in (edges_u, edges_v)
+        for e in ((edges_u,) if edges_v is edges_u else (edges_u, edges_v))
     ):
         p = psi(np.concatenate((edges_u[0] - edges_v[:0:-1], edges_u - edges_v[0])))
         return p[2:] + p[:-2] - p[1:-1] - p[1:-1]
@@ -159,9 +159,12 @@ def inner_product_HH(f: Integrand, g: Integrand, H, cfg: QuadratureConfig = DEFA
         if not 0.5 < h < 1.0:
             raise DomainError(f"Hurst entry {h} not in (1/2, 1)")
     ef = _panel_edges(f, cfg.panels)
-    eg = _panel_edges(g, cfg.panels)
     F = f.eval(midpoint_mesh(ef))
-    G = g.eval(midpoint_mesh(eg))
+    if g is f:  # one evaluation, and one equal-step check per kernel
+        eg, G = ef, F
+    else:
+        eg = _panel_edges(g, cfg.panels)
+        G = g.eval(midpoint_mesh(eg))
     # sum_{I,J} F[I] G[J] prod_a W_a[i_a, j_a] by successive contractions
     T = F
     for a in range(f.d):
@@ -199,7 +202,7 @@ def effective_exponents(d: int, scenario: LimitScenario) -> EffectiveExponents:
     (A_k -> 1/2, B_p -> 1, fixed values otherwise).  The time index H0
     does not enter.
     """
-    targets = scenario.target(0.5, d)
+    targets = scenario.target(d)
     gamma = d - sum(targets)
     k = scenario.k
     gamma0 = d - 0.5 * k - sum(targets[a] for a in range(d) if a not in scenario.a_axes)
@@ -247,7 +250,7 @@ def sigma_limit(f: Integrand, scenario: LimitScenario, cfg: QuadratureConfig = D
     if scenario.k == 0:
         raise DomainError("sigma limit needs at least one axis going to 1/2")
     d = f.d
-    scenario.target(0.5, d)  # validates that every axis has a role
+    scenario.target(d)  # validates that every axis has a role
     edges = _panel_edges(f, cfg.panels)
     F = f.eval(midpoint_mesh(edges))
     T = F

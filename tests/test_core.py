@@ -63,9 +63,9 @@ class TestTypes:
         with pytest.raises(DomainError):
             LimitScenario(a_axes=(0,), b_axes=(0,))
         sc = LimitScenario(a_axes=(0,), b_axes=(2,), fixed={1: 0.7})
-        assert sc.target(0.5, 3) == (0.5, 0.7, 1.0)
+        assert sc.target(3) == (0.5, 0.7, 1.0)
         with pytest.raises(DomainError):
-            sc.target(0.5, 4)  # axis 3 has no role
+            sc.target(4)  # axis 3 has no role
 
 
 class TestRectangleIncrement:

@@ -24,45 +24,117 @@ def diag_system(alphas, betas):
     return FunctionalSystem(m, fns, alphas, betas)
 
 
+def ref_rank(rows):
+    """Exact rank by Gaussian elimination over the rationals: the reference
+    the integer kernel of powercount is checked against."""
+    mat = [[F(c) for c in r] for r in rows]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col] != 0:
+                factor = mat[r][col] / pv
+                for c in range(col, ncols):
+                    mat[r][c] -= factor * mat[rank][c]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def ref_span_closure(system, W):
+    W = sorted(set(W))
+    base = [system.functionals[i].coeffs for i in W]
+    r = ref_rank(base)
+    return frozenset(i for i in range(system.size)
+                     if i in W or ref_rank(base + [system.functionals[i].coeffs]) == r)
+
+
+def ref_rank_of(system, W):
+    return ref_rank([system.functionals[i].coeffs for i in W])
+
+
+def ref_d0(system, W):
+    return ref_rank_of(system, W) + sum((system.alphas[i] for i in W), start=F(0))
+
+
+def ref_d_inf(system, W):
+    full = ref_rank_of(system, range(system.size))
+    return full - ref_rank_of(system, W) + sum(
+        (system.betas[i] for i in range(system.size) if i not in W), start=F(0))
+
+
 def is_padded(system, W):
     """Span-closed and every member is redundant inside W (vacuous for the
     empty set)."""
     Ws = frozenset(W)
-    if span_closure(system, Ws) != Ws:
+    if ref_span_closure(system, Ws) != Ws:
         return False
     for i in Ws:
-        if i not in span_closure(system, Ws - {i}):
+        if i not in ref_span_closure(system, Ws - {i}):
             return False
     return True
 
 
 def reference_check(system):
-    """The subset enumeration check_integrability replaced: span closures and
-    padding recomputed per subset through the single-subset API."""
+    """The subset enumeration check_integrability replaced: span closures,
+    padding, d0 and d_inf recomputed per subset by Fraction elimination."""
     n = system.size
     closed = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)
-              if span_closure(system, c) == frozenset(c)]
+              if ref_span_closure(system, c) == frozenset(c)]
     wz = []
     if any(a == -1 for a in system.alphas):
         fz = None
     else:
         for W in closed:
             if W and (not all(a > -1 for a in system.alphas) or is_padded(system, W)):
-                if d0(system, W) <= 0:
+                if ref_d0(system, W) <= 0:
                     wz.append(tuple(sorted(W)))
         fz = not wz
     wi = [tuple(sorted(W)) for W in closed
           if W != frozenset(range(n))
           and (not all(b >= -1 for b in system.betas) or is_padded(system, W))
-          and d_infinity(system, W) >= 0]
+          and ref_d_inf(system, W) >= 0]
     return {
         "finite_at_zero": "inconclusive" if fz is None else fz,
         "finite_at_infinity": not wi,
         "witnesses_zero": [list(w) for w in wz],
         "witnesses_infinity": [list(w) for w in wi],
-        "d0_T": str(d0(system, span_closure(system, range(n)))),
-        "dinf_empty": str(d_infinity(system, frozenset())),
+        "d0_T": str(ref_d0(system, range(n))),
+        "dinf_empty": str(ref_d_inf(system, [])),
     }
+
+
+def random_rows(rng):
+    """Rational rows with zero rows, rows dependent on earlier ones through
+    rational coefficients, and denominators up to 10**9."""
+    m, n = rng.randint(1, 5), rng.randint(0, 7)
+
+    def entry():
+        den = rng.choice([1, 1, 2, 3, 7, 10**9, rng.randint(1, 10**9)])
+        return F(rng.randint(-3, 3) * rng.choice([1, 1, 10**9 - 1]), den)
+
+    rows = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            row = [F(0)] * m
+        elif rows and kind < 0.55:
+            row = [F(0)] * m
+            for r in rng.sample(rows, rng.randint(1, len(rows))):
+                c = entry()
+                row = [x + c * y for x, y in zip(row, r)]
+        else:
+            row = [entry() for _ in range(m)]
+        rows.append(row)
+    return rows
 
 
 def ou_affine_system():
@@ -154,6 +226,38 @@ class TestSpanClosure:
             for W2 in subsets:
                 if W1 <= W2:
                     assert span_closure(s, W1) <= span_closure(s, W2)
+
+
+class TestIntegerKernel:
+    """The fraction-free kernel against the Fraction elimination reference."""
+
+    def test_rank_matches_reference_on_random_rows(self):
+        rng = random.Random(20)
+        seen = set()
+        for _ in range(600):
+            rows = random_rows(rng)
+            r = ref_rank(rows)
+            assert powercount._rank(rows) == r
+            if any(not any(row) for row in rows):
+                seen.add("zero row")
+            if r < sum(1 for row in rows if any(row)):
+                seen.add("dependent rows")
+            if any(c.denominator > 10**8 for row in rows for c in row):
+                seen.add("denominator above 1e8")
+        assert seen == {"zero row", "dependent rows", "denominator above 1e8"}
+
+    def test_span_closure_and_exponents_match_reference(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            s = random_system(rng)
+            for k in range(s.size + 1):
+                for W in itertools.combinations(range(s.size), k):
+                    cl = span_closure(s, W)
+                    assert cl == ref_span_closure(s, W)
+                    assert powercount.rank_of(s, W) == ref_rank_of(s, W)
+                    if cl == frozenset(W):
+                        assert d0(s, W) == ref_d0(s, W)
+                        assert d_infinity(s, W) == ref_d_inf(s, W)
 
 
 class TestPadded:
@@ -265,10 +369,10 @@ class TestCheck:
         assert {v[0] for v in seen if isinstance(v, tuple)} == {True, False, "inconclusive"}
         assert {v[1] for v in seen if isinstance(v, tuple)} == {True, False}
 
-    def test_one_elimination_per_nonempty_subset(self, monkeypatch):
+    def test_one_reduce_per_nonempty_subset(self, monkeypatch):
         calls = []
-        rank = powercount._rank
-        monkeypatch.setattr(powercount, "_rank", lambda rows: calls.append(rows) or rank(rows))
+        reduce = powercount._reduce
+        monkeypatch.setattr(powercount, "_reduce", lambda v, basis: calls.append(v) or reduce(v, basis))
         for s in FILE_SYSTEMS:
             calls.clear()
             check_integrability(s)

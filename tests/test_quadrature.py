@@ -9,6 +9,7 @@ from hermlab.core import (
     DomainError,
     ExpWindow,
     GridSpec,
+    HeatWindow,
     IndicatorBox,
     LimitScenario,
     Tabulated,
@@ -98,6 +99,29 @@ class TestInnerProduct:
             inner_product_HH(UNIT, UNIT, 0.5, CFG)
         with pytest.raises(DomainError):
             inner_product_HH(UNIT, UNIT, 1.0, CFG)
+
+
+class TestSharedEvaluation:
+    """<f, f> evaluates f once and checks each kernel's steps once; the value
+    is bit for bit the one of an equal but separate second argument."""
+
+    @pytest.mark.parametrize("panels", [512, 1024])
+    @pytest.mark.parametrize("make,H", [
+        (lambda: ExpWindow(1.0, 1.0), 0.7),
+        (lambda: IndicatorBox([0.0], [1.0]), 0.55),
+        (lambda: HeatWindow(1.0, 0.0, 2.0), (0.6, 0.8)),
+    ], ids=["exp", "box", "heat_d2"])
+    def test_self_inner_product_bit_identical(self, make, H, panels):
+        f, g = make(), make()
+        assert g is not f
+        cfg = QuadratureConfig(panels=panels)
+        assert inner_product_HH(f, f, H, cfg) == inner_product_HH(f, g, H, cfg)
+
+    @pytest.mark.parametrize("e", [np.linspace(0, 1, 513), np.linspace(0, 1, 9) ** 2],
+                             ids=["equal_steps", "unequal_steps"])
+    def test_mass_kernel_same_edges_bit_identical(self, e):
+        k = quadrature._mass_kernel(e, e, -0.6)
+        assert k.tobytes() == quadrature._mass_kernel(e, e.copy(), -0.6).tobytes()
 
 
 def four_corner_masses(edges_u, edges_v, c):
