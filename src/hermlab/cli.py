@@ -28,6 +28,7 @@ from .core import (
     LimitScenario,
     ResourceError,
     UnsupportedError,
+    check_chaos_order,
     write_fields_csv,
 )
 from . import acceptance, stats
@@ -119,8 +120,7 @@ def _cmd_simulate(args) -> dict:
         raise DomainError("simulate needs --out for the CSV")
     args._out_is_data = True
     hurst = _hurst_list(args.hurst)
-    if args.q < 1:
-        raise DomainError("q must be >= 1")
+    check_chaos_order(args.q)
     d = len(hurst)
     grid = GridSpec([0.0] * d, [args.t_max] * d, [args.grid] * d)
     gaussian = args.q == 1 and any(h <= 0.5 for h in hurst)

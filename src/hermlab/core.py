@@ -34,6 +34,15 @@ class TruncationError(DomainError):
 # Hurst indices and process specs
 # ---------------------------------------------------------------------------
 
+MAX_CHAOS_ORDER = 170  # the largest q whose q! is a finite float64
+
+
+def check_chaos_order(q: int) -> None:
+    """Raise DomainError unless 1 <= q <= MAX_CHAOS_ORDER: the sheet
+    normalization and the H -> 1 limit law divide by sqrt(q!)."""
+    if not 1 <= q <= MAX_CHAOS_ORDER:
+        raise DomainError(f"chaos order q={q} must lie in 1..{MAX_CHAOS_ORDER}")
+
 @dataclass(frozen=True)
 class HurstMultiIndex:
     """Per-axis Hurst exponents, each in the open interval (1/2, 1)."""
@@ -70,8 +79,7 @@ class HermiteSpec:
     hurst: HurstMultiIndex
 
     def __post_init__(self):
-        if self.q < 1:
-            raise DomainError(f"chaos order q={self.q} must be >= 1")
+        check_chaos_order(self.q)
         if not isinstance(self.hurst, HurstMultiIndex):
             object.__setattr__(self, "hurst", HurstMultiIndex(self.hurst))
 

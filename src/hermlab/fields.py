@@ -17,7 +17,9 @@ a complex Gaussian array of known law, so it is drawn directly, scaled per
 frequency plane and sent through one axis-by-axis inverse real FFT, which
 keeps the embedded covariance exact.  That per-bin scale is the one cached
 quantity: the cache is keyed by the sampler's exact (H, q, N) and holds at
-most 8 entries.  Direct discretization of the chaos kernel is O(cells^q)
+most 8 entries.  It is set up in place: each axis's even circulant column is
+written into one complex buffer, which is transformed in place and dropped
+once its eigenvalues are read out.  Direct discretization of the chaos kernel is O(cells^q)
 and lives only in the ChaosKernel oracle.
 """
 from __future__ import annotations
@@ -47,7 +49,11 @@ _SQRT_EIG_CACHE: dict = {}  # (Hs, q, N) -> half-spectrum scale of the spectral 
 
 
 CHAOS_CELL_CAP = 2**21
-SHEET_CELL_CAP = 2**26  # circulant cells of one sheet draw, 512 MiB per float64 array
+# circulant cells of one sheet draw, 512 MiB per float64 array; a 1-D spectral
+# set-up at the cap peaks at 1.5 GiB of numpy buffers (24 B per cell), and by
+# the 48 B per cell measured at 2^22 cells about 3 GiB of RSS with pocketfft's
+# scratch
+SHEET_CELL_CAP = 2**26
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +85,22 @@ def hermite_poly(q: int, x):
 # ---------------------------------------------------------------------------
 
 def fgn_autocov(H: float, n: int) -> np.ndarray:
-    """Autocovariance of unit-variance fGn at lags 0..n."""
+    """Autocovariance of unit-variance fGn at lags 0..n,
+    0.5 ((k+1)^2H - 2 k^2H + |k-1|^2H), in that operation order but in
+    place: three arrays of n + 1 floats and no temporaries."""
+    g = 2 * H
     k = np.arange(n + 1, dtype=float)
-    return 0.5 * ((k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H) + np.abs(k - 1.0) ** (2 * H))
+    rho = k + 1.0
+    rho **= g
+    twice = k**g
+    twice *= 2.0
+    rho -= twice
+    k -= 1.0
+    np.abs(k, out=k)
+    k **= g
+    rho += k
+    rho *= 0.5
+    return rho
 
 
 def _cached(cache: dict, key, compute):
@@ -102,9 +121,16 @@ def _circulant_eigs(H: float, n: int, q: int) -> np.ndarray:
     """Eigenvalues of the even circulant extension (length 2n) of the
     correlation rho_H(k)^(1/q) at lags 0..n; negatives below -1e-10 relative
     are an error, above are clamped to 0."""
-    rho = fgn_autocov(H, n) ** (1.0 / q)
-    c = np.concatenate([rho[:n], [rho[n]], rho[n - 1:0:-1]])
-    eig = np.fft.fft(c).real
+    rho = fgn_autocov(H, n)
+    rho **= 1.0 / q
+    c = np.zeros(2 * n, dtype=np.complex128)
+    c.real[: n + 1] = rho
+    c.real[n + 1:] = rho[n - 1:0:-1]
+    del rho  # so the set-up peak is the buffer plus the eigenvalues read out of it
+    # numpy builds its plan per call; scipy.fft would keep this 2n-point plan,
+    # 16 B per cell, in its plan cache for the life of the process
+    np.fft.fft(c, out=c)
+    eig = c.real
     if eig.min() < -1e-10 * eig.max():
         raise RuntimeError(
             f"circulant embedding not nonnegative (H={H}, q={q}, n={n}): "
@@ -123,7 +149,8 @@ def _spectral_scale(Hs: tuple, q: int, N: tuple) -> np.ndarray:
         eigs = [_circulant_eigs(h, n, q) for h, n in zip(Hs, N)]
         last = eigs[-1][: N[-1] + 1] * (0.5 * math.prod(len(e) for e in eigs))
         last[[0, -1]] *= 2.0
-        scale = np.sqrt(functools.reduce(np.multiply.outer, eigs[:-1] + [last]))
+        scale = functools.reduce(np.multiply.outer, eigs[:-1] + [last])
+        np.sqrt(scale, out=scale)
         scale.setflags(write=False)
         return scale
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .core import (
     DomainError,
+    check_chaos_order,
     GridSpec,
     HermiteSpec,
     HurstMultiIndex,
@@ -42,8 +43,7 @@ class OUSpec:
         object.__setattr__(self, "xi", float(self.xi))
         if self.lam <= 0 or self.sigma <= 0:
             raise DomainError("need lam > 0 and sigma > 0")
-        if self.q < 1:
-            raise DomainError("chaos order must be >= 1")
+        check_chaos_order(self.q)
         if not 0.5 < self.H < 1.0:
             raise DomainError(f"H={self.H} not in (1/2, 1)")
 

@@ -23,7 +23,6 @@ denominators.  No floating point anywhere in this module.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,8 +231,10 @@ def check_integrability(system: FunctionalSystem) -> IntegrabilityReport:
     Every verdict comes from one table of exact ranks, rank[S] for each
     subset S of T as a bit mask (see `_rank_table`): W is span-closed iff
     adding any i outside W raises the rank, and padded iff removing any i in
-    W keeps it.  Exponent sums are compared as integers, scaled by the lcm
-    of the exponent denominators.  Witnesses are listed by size, then in
+    W keeps it.  One pass over the pairs (S minus its bit i, S) marks both,
+    and builds each mask's exponent sums from the mask without its lowest
+    bit.  Exponent sums are compared as integers, scaled by the lcm of the
+    exponent denominators.  Witnesses are listed by size, then in
     combinations order.
     """
     n = system.size
@@ -248,27 +249,47 @@ def check_integrability(system: FunctionalSystem) -> IntegrabilityReport:
     padded_only_inf = all(b >= -1 for b in system.betas)
     inconclusive_zero = any(a == -1 for a in system.alphas)
 
-    witnesses_zero: list[tuple[int, ...]] = []
-    witnesses_inf: list[tuple[int, ...]] = []
-    for size in range(n + 1):
-        for W in itertools.combinations(range(n), size):
-            S = sum(1 << i for i in W)
-            r = rank[S]
-            if any(rank[S | 1 << i] == r for i in range(n) if not S >> i & 1):
-                continue  # not span-closed
-            padded = all(rank[S & ~(1 << i)] == r for i in W)
-            if W and not inconclusive_zero and (padded or not padded_only_zero):
-                if r * la + sum(alphas[i] for i in W) <= 0:
-                    witnesses_zero.append(W)
-            if S != full and (padded or not padded_only_inf):
-                if (rank[full] - r) * lb + beta_total - sum(betas[i] for i in W) >= 0:
-                    witnesses_inf.append(W)
+    closed = [True] * (full + 1)
+    padded = [True] * (full + 1)
+    alpha_sum = [0] * (full + 1)
+    beta_sum = [0] * (full + 1)
+    for S in range(1, full + 1):
+        low = S & -S
+        i = low.bit_length() - 1
+        alpha_sum[S] = alpha_sum[S ^ low] + alphas[i]
+        beta_sum[S] = beta_sum[S ^ low] + betas[i]
+        bits = S
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            if rank[S ^ low] == rank[S]:
+                closed[S ^ low] = False  # the bit joins S minus it at no rank
+            else:
+                padded[S] = False  # S needs the bit
 
+    zero: list[int] = []
+    inf: list[int] = []
+    for S in range(full + 1):
+        if not closed[S]:
+            continue
+        r = rank[S]
+        if S and not inconclusive_zero and (padded[S] or not padded_only_zero):
+            if r * la + alpha_sum[S] <= 0:
+                zero.append(S)
+        if S != full and (padded[S] or not padded_only_inf):
+            if (rank[full] - r) * lb + beta_total - beta_sum[S] >= 0:
+                inf.append(S)
+
+    def listed(masks: list[int]) -> tuple[tuple[int, ...], ...]:
+        ws = [tuple(i for i in range(n) if S >> i & 1) for S in masks]
+        return tuple(sorted(ws, key=lambda W: (len(W), W)))
+
+    witnesses_zero, witnesses_inf = listed(zero), listed(inf)
     return IntegrabilityReport(
         finite_at_zero=None if inconclusive_zero else not witnesses_zero,
         finite_at_infinity=not witnesses_inf,
-        witnesses_zero=tuple(witnesses_zero),
-        witnesses_infinity=tuple(witnesses_inf),
+        witnesses_zero=witnesses_zero,
+        witnesses_infinity=witnesses_inf,
         d0_full=Fraction(rank[full] * la + sum(alphas), la),
         dinf_empty=Fraction(rank[full] * lb + beta_total, lb),
     )

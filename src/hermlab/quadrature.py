@@ -66,9 +66,10 @@ def _mass_kernel(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> np.ndarr
     With one step (to within a few ulps, as np.linspace leaves it), the pair
     (i, j) has the mass P[L+1]+P[L-1]-P[L]-P[L] with L = i-j, where P[k] is
     Psi at the lag u_k - v_0 (k >= 0) or u_0 - v_{-k} (k < 0).  Psi is then
-    evaluated at n_u+n_v+1 lags; lag[s] is the mass at L = s-n_v+1.  The sum
-    runs in the four-corner order, so uniform dyadic edges give bit-identical
-    masses.
+    evaluated at n_u+n_v+1 lags; lag[s] is the mass at L = s-n_v+1.  When
+    edges_v is edges_u, u_0 - u_k is exactly -(u_k - u_0), so Psi is
+    evaluated at the n+1 lags k >= 0 and mirrored.  The sum runs in the
+    four-corner order, so uniform dyadic edges give bit-identical masses.
     """
     if c <= -1.0:
         raise DomainError(f"exponent {c} not integrable across the diagonal")
@@ -83,7 +84,11 @@ def _mass_kernel(edges_u: np.ndarray, edges_v: np.ndarray, c: float) -> np.ndarr
         <= 4.0 * np.finfo(float).eps * np.max(np.abs(e))
         for e in ((edges_u,) if edges_v is edges_u else (edges_u, edges_v))
     ):
-        p = psi(np.concatenate((edges_u[0] - edges_v[:0:-1], edges_u - edges_v[0])))
+        if edges_v is edges_u:
+            p = psi(edges_u - edges_u[0])
+            p = np.concatenate((p[:0:-1], p))
+        else:
+            p = psi(np.concatenate((edges_u[0] - edges_v[:0:-1], edges_u - edges_v[0])))
         return p[2:] + p[:-2] - p[1:-1] - p[1:-1]
 
     au, bu = edges_u[:-1, None], edges_u[1:, None]

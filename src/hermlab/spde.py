@@ -28,6 +28,7 @@ from .core import (
     LimitScenario,
     Marginal,
     UnsupportedError,
+    check_chaos_order,
     green,  # noqa: F401  (re-exported as spde.green)
 )
 from .fields import check_sheet_cells, fine_mesh
@@ -83,8 +84,7 @@ class HeatSpec:
         object.__setattr__(self, "t_steps", int(t_steps))
         object.__setattr__(self, "x_steps", int(x_steps))
         object.__setattr__(self, "n_internal", int(n_internal))
-        if self.q < 1:
-            raise DomainError("chaos order must be >= 1")
+        check_chaos_order(self.q)
         if not 0.5 < self.h0 < 1.0 or any(not 0.5 < v < 1.0 for v in h):
             raise DomainError("Hurst entries must lie in (1/2, 1)")
         ok, gamma_cond = existence_condition(self.h0, h, len(h))

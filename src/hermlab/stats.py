@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-from .core import DomainError, derive_stream
+from .core import DomainError, check_chaos_order, derive_stream
 from .fields import hermite_poly
 
 # Replicates this short hold the interpreter lock, so threads only add contention.
@@ -150,8 +150,7 @@ def target_cdf_hermite_limit(q: int) -> Callable[[np.ndarray], np.ndarray]:
     H_q(z) = x sqrt(q!) on each monotone piece, and the CDF sums the normal
     mass where H_q <= x sqrt(q!).  The roots of H_q lie in |z| < sqrt(4q+2),
     so sqrt(4q+2) + |x sqrt(q!)|^(1/q) bounds the two unbounded pieces."""
-    if q < 1:
-        raise DomainError("chaos order must be >= 1")
+    check_chaos_order(q)
     i = np.arange(q - 2)
     jacobi = np.zeros((q - 1, q - 1))
     jacobi[i, i + 1] = jacobi[i + 1, i] = np.sqrt(i + 1.0)

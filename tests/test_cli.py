@@ -127,6 +127,17 @@ class TestSweep:
         assert payload["limit_variance"] == pytest.approx((1 - math.exp(-2)) / 2, rel=1e-4)
 
 
+class TestChaosOrderBound:
+    @pytest.mark.parametrize("argv", [
+        ("integral", "--hurst", "0.7", "--q", "400", "--reps", "2"),
+        ("sweep", "--target", "one", "--q", "400", "--reps", "2", "--hurst-grid", "0.7,0.8"),
+    ], ids=["integral", "sweep"])
+    def test_q_above_170_is_exit_2(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "chaos order q=400 must lie in 1..170" in err
+
+
 class TestHeat:
     def test_quadrature_only(self, capsys):
         code, out, _ = run(

@@ -12,12 +12,16 @@ from hermlab.core import (
     HurstMultiIndex,
     IndicatorBox,
     LimitScenario,
+    MAX_CHAOS_ORDER,
     RandomField,
     Tabulated,
     cell_increments,
     derive_stream,
     write_fields_csv,
 )
+from hermlab.ou import OUSpec
+from hermlab.spde import HeatSpec
+from hermlab.stats import target_cdf_hermite_limit
 
 
 def make_field(values, origins=None, extents=None):
@@ -44,6 +48,22 @@ class TestTypes:
         assert spec.d == 2
         with pytest.raises(TypeError):  # d is read from the Hurst index, never passed
             HermiteSpec(2, (0.6, 0.7), 2)
+
+    @pytest.mark.parametrize("make", [
+        lambda q: HermiteSpec(q, 0.7),
+        lambda q: OUSpec(1.0, 1.0, q, 0.7),
+        lambda q: HeatSpec(q, 0.7, 0.8),
+        target_cdf_hermite_limit,
+    ], ids=["HermiteSpec", "OUSpec", "HeatSpec", "target_cdf_hermite_limit"])
+    def test_chaos_order_bound(self, make):
+        # q! overflows float64 above 170, and every sampler divides by sqrt(q!)
+        assert MAX_CHAOS_ORDER == 170 and math.isfinite(float(math.factorial(170)))
+        with pytest.raises(OverflowError):
+            float(math.factorial(171))
+        make(MAX_CHAOS_ORDER)
+        for q in (0, MAX_CHAOS_ORDER + 1, 400):
+            with pytest.raises(DomainError, match=r"1\.\.170"):
+                make(q)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

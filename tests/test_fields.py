@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,7 +261,55 @@ class TestChaosOracle:
             ChaosKernel.from_function(3, big, lambda a, b, c: np.ones(a.shape[:-1]))
 
 
+def out_of_place_scale(Hs, q, N):
+    """The spectral scale by the out-of-place formula: np.fft.fft of the
+    concatenated even extension of rho_H^(1/q), real part clamped at 0, the
+    outer product of the axes' eigenvalues, then np.sqrt."""
+    eigs = []
+    for H, n in zip(Hs, N):
+        k = np.arange(n + 1, dtype=float)
+        rho = 0.5 * ((k + 1.0) ** (2 * H) - 2.0 * k ** (2 * H) + np.abs(k - 1.0) ** (2 * H))
+        rho = rho ** (1.0 / q)
+        c = np.concatenate([rho[:n], [rho[n]], rho[n - 1:0:-1]])
+        eigs.append(np.maximum(np.fft.fft(c).real, 0.0))
+    last = eigs[-1][: N[-1] + 1] * (0.5 * math.prod(len(e) for e in eigs))
+    last[[0, -1]] *= 2.0
+    return np.sqrt(functools.reduce(np.multiply.outer, eigs[:-1] + [last]))
+
+
 class TestCirculant:
+    @pytest.mark.parametrize("shape,hursts,q", [
+        (shape, hursts, q)
+        for shape, hursts in [
+            ((1,), (0.7,)), ((7,), (0.55,)), ((1000,), (0.9,)), ((2**12 + 1,), (0.75,)),
+            ((8, 5), (0.7, 0.6)), ((1, 3), (0.95, 0.65)), ((6, 4, 3), (0.7, 0.6, 0.8)),
+        ]
+        for q in (1, 2, 3)
+    ] + [((9, 16), (0.7, 0.3), 1)])  # the Gaussian sheet takes H below 1/2
+    def test_scale_bit_identical_to_out_of_place_formula(self, shape, hursts, q, monkeypatch):
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+        got = fields._spectral_scale(hursts, q, shape)
+        assert got.tobytes() == out_of_place_scale(hursts, q, shape).tobytes()
+
+    def test_setup_traced_peak_per_circulant_cell(self, monkeypatch):
+        """Traced peak of one 1-D spectral set-up at N = 2^16, in bytes per
+        circulant cell (2N cells).  Measured 24.0: the complex128 buffer
+        (16 B) and the float64 eigenvalues read out of it (8 B); the
+        out-of-place set-up read 44.0.  The bound is 26, a margin of 2 B per
+        cell, half of the smallest array the set-up makes (N + 1 floats), so
+        any further full-length temporary crosses it.  tracemalloc sees
+        numpy's buffers but not pocketfft's scratch inside the transform."""
+        n = 2**16
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+        fields._spectral_scale((0.7,), 2, (64,))  # imports and FFT set-up outside the trace
+        tracemalloc.start()
+        try:
+            fields._spectral_scale((0.7,), 2, (n,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (2 * n) < 26.0
+
     def test_autocov_values(self):
         rho = fgn_autocov(0.5, 8)
         assert rho[0] == pytest.approx(1.0)
