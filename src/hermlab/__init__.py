@@ -18,7 +18,6 @@ from .core import (
     Marginal,
     RandomField,
     ResourceError,
-    Tabulated,
     TruncationError,
     UnsupportedError,
     derive_stream,
@@ -37,7 +36,6 @@ __all__ = [
     "Marginal",
     "RandomField",
     "ResourceError",
-    "Tabulated",
     "TruncationError",
     "UnsupportedError",
     "derive_stream",

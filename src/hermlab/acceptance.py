@@ -27,7 +27,7 @@ from .core import (
 from .fields import ChaosKernel, chaos_oracle_sample, simulate_fractional_gaussian_sheet, simulate_hermite_sheet
 from .integrals import WienerFunctional
 from .ou import OUSpec, ou_limit_cdf_H1, simulate_hou
-from .powercount import check_integrability, cycle_system, d0, d_infinity
+from .powercount import check_integrability, cycle_system
 from .quadrature import QuadratureConfig, inner_product_HH, sigma_limit
 from .spde import HeatSpec, existence_condition, heat_covariance_quadrature, sample_mild_solution
 from .stats import collect_samples, excess_kurtosis, ks_distance
@@ -158,10 +158,8 @@ def crit_7_power_counting(seed: int, fast: bool, threads: int | None = None):
     """Cycle-system verdicts as exact rationals: d0(T)=4H-1, dinf(empty)=3-4g
     at H=3/5, g=4/5; verdict flips exactly at H=1/4 and g=3/4."""
     H, g = Fraction(3, 5), Fraction(4, 5)
-    sys_ = cycle_system(2, 1, H, g)
-    ok = d0(sys_, range(4)) == Fraction(7, 5)
-    ok &= d_infinity(sys_, []) == Fraction(-1, 5)
-    rep = check_integrability(sys_)
+    rep = check_integrability(cycle_system(2, 1, H, g))
+    ok = rep.d0_full == Fraction(7, 5) and rep.dinf_empty == Fraction(-1, 5)
     ok &= rep.finite_at_zero is True and rep.finite_at_infinity is True
     eps = Fraction(1, 10**6)
     at = check_integrability(cycle_system(2, 1, Fraction(1, 4), g))
@@ -219,21 +217,21 @@ def crit_9_chaos_oracle(seed: int, fast: bool, threads: int | None = None):
 def crit_10_existence_table(seed: int, fast: bool, threads: int | None = None):
     """Existence condition evaluated exactly on 10 hand-built cases,
     including the boundary d=3, gamma_cond=3.0 -> reject."""
-    cases = [
-        (1, 0.55, (0.55,), True, 2.3),
-        (3, 0.6, (0.6, 0.6, 0.6), False, 3.0),
-        (1, 0.51, (0.51,), True, None),
-        (1, 0.99, (0.99,), True, None),
-        (2, 0.6, (0.6, 0.6), True, None),
-        (3, 0.9, (0.9, 0.9, 0.9), True, 6.0),
-        (4, 0.6, (0.6, 0.6, 0.6, 0.6), False, None),
-        (4, 0.95, (0.95, 0.95, 0.95, 0.95), True, 7.4),
-        (3, 0.55, (0.55, 0.55, 0.55), False, 2.5),
-        (1, 0.52, (0.9,), True, None),
+    cases = [  # d = len(hs)
+        (0.55, (0.55,), True, 2.3),
+        (0.6, (0.6, 0.6, 0.6), False, 3.0),
+        (0.51, (0.51,), True, None),
+        (0.99, (0.99,), True, None),
+        (0.6, (0.6, 0.6), True, None),
+        (0.9, (0.9, 0.9, 0.9), True, 6.0),
+        (0.6, (0.6, 0.6, 0.6, 0.6), False, None),
+        (0.95, (0.95, 0.95, 0.95, 0.95), True, 7.4),
+        (0.55, (0.55, 0.55, 0.55), False, 2.5),
+        (0.52, (0.9,), True, None),
     ]
     ok = True
-    for d, h0, hs, expect_ok, expect_gamma in cases:
-        rep = existence_condition(h0, hs, d)
+    for h0, hs, expect_ok, expect_gamma in cases:
+        rep = existence_condition(h0, hs)
         ok &= rep.ok == expect_ok
         if expect_gamma is not None:
             ok &= abs(rep.gamma_cond - expect_gamma) < 1e-12

@@ -88,7 +88,7 @@ def _manifest(args: argparse.Namespace, started: float) -> dict:
 def _emit(payload: dict, args: argparse.Namespace, started: float) -> None:
     payload = dict(payload)
     payload["manifest"] = _manifest(args, started)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     out = getattr(args, "out", None)
     if out and getattr(args, "_out_is_data", False):
         # --out already holds the data file; the manifest goes in a sidecar
@@ -167,7 +167,7 @@ def _cmd_integral(args) -> dict:
     out = rep.as_dict()
     out.update({
         "quadrature_variance": quad,
-        "mc_over_quadrature": rep.variance / quad if quad else math.nan,
+        "mc_over_quadrature": rep.variance / quad,
     })
     return out
 
@@ -227,7 +227,7 @@ def _cmd_heat(args) -> dict:
         n_internal=args.n_internal,
     )
     result: dict = {
-        "gamma_cond": existence_condition(spec.h0, spec.h, spec.d).gamma_cond,
+        "gamma_cond": existence_condition(spec.h0, spec.h).gamma_cond,
         "quadrature_covariance": heat_covariance_quadrature(spec, args.t, args.s),
     }
     d = len(hurst)
@@ -399,12 +399,14 @@ def main(argv=None) -> int:
     args.seed = _resolve_seed(args)
     started = time.time()
     try:
-        payload = args.func(args)
+        for name, value in sorted(vars(args).items()):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"flag {name}={value} must be finite")
+        _emit(args.func(args), args, started)
     except (DomainError, UnsupportedError, ResourceError, RuntimeError, OSError, ValueError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args, started)
     return 0
 
 

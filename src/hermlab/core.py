@@ -45,13 +45,14 @@ def check_chaos_order(q: int) -> None:
 
 @dataclass(frozen=True)
 class HurstMultiIndex:
-    """Per-axis Hurst exponents, each in the open interval (1/2, 1)."""
+    """Per-axis Hurst exponents, each in the open interval (1/2, 1): every
+    entry point that takes a Hurst value, scalar or sequence, checks it here."""
 
     values: tuple[float, ...]
 
     def __init__(self, values: Union[float, Sequence[float]]):
-        if isinstance(values, (int, float)):
-            values = (float(values),)
+        if np.isscalar(values):
+            values = (values,)
         vals = tuple(float(v) for v in values)
         if not vals:
             raise DomainError("Hurst multi-index must have at least one entry")
@@ -102,6 +103,8 @@ class GridSpec:
         steps = tuple(int(s) for s in np.atleast_1d(steps))
         if not len(origins) == len(extents) == len(steps):
             raise DomainError("origins, extents and steps must have equal length")
+        if not all(map(math.isfinite, origins + extents)):
+            raise DomainError("grid origins and extents must be finite")
         for e in extents:
             if e <= 0:
                 raise DomainError("grid extent must be positive")
@@ -154,7 +157,7 @@ class RandomField:
 @dataclass(frozen=True)
 class LimitScenario:
     """Which axes are driven to a Hurst limit: A_k -> 1/2, B_p -> 1, the
-    rest pinned at the values in `fixed`."""
+    rest pinned at the values in `fixed`, each in (1/2, 1)."""
 
     a_axes: tuple[int, ...] = ()
     b_axes: tuple[int, ...] = ()
@@ -165,7 +168,10 @@ class LimitScenario:
         b = tuple(int(i) for i in self.b_axes)
         object.__setattr__(self, "a_axes", a)
         object.__setattr__(self, "b_axes", b)
-        object.__setattr__(self, "fixed", dict(self.fixed))
+        fixed = dict(self.fixed)
+        if fixed:
+            fixed = dict(zip(fixed, HurstMultiIndex(tuple(fixed.values()))))
+        object.__setattr__(self, "fixed", fixed)
         groups = [set(a), set(b), set(self.fixed)]
         for g1, g2 in itertools.combinations(groups, 2):
             if g1 & g2:
@@ -331,42 +337,6 @@ class HeatWindow(Integrand):
         dy = pts[..., 1:] - np.asarray(self.x)
         inside = (u > 0.0) & (self.t - u > 0.0) & np.all(np.abs(dy) <= self.trunc, axis=-1)
         return np.where(inside, green(self.t - u, dy, len(self.x)), 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class Tabulated(Integrand):
-    """Values on a grid, multilinearly interpolated inside, 0 outside."""
-
-    grid: GridSpec
-    table: np.ndarray
-
-    def __init__(self, grid: GridSpec, table):
-        table = np.asarray(table, dtype=float)
-        if table.shape != grid.shape:
-            raise DomainError("table shape must match the grid node shape")
-        if not np.all(np.isfinite(table)):
-            raise DomainError("tabulated values must be finite")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "d", grid.d)
-        from scipy.interpolate import RegularGridInterpolator  # only here: it loads scipy.linalg
-        interp = RegularGridInterpolator(
-            tuple(grid.axis_nodes(a) for a in range(grid.d)),
-            table,
-            method="linear",
-            bounds_error=False,
-            fill_value=0.0,
-        )
-        object.__setattr__(self, "_interp", interp)
-
-    def support(self):
-        return self.grid.lo(), self.grid.hi()
-
-    def eval(self, pts):
-        pts = self._check_pts(pts)
-        flat = pts.reshape(-1, self.d)
-        out = self._interp(flat)
-        return out.reshape(pts.shape[:-1])
 
 
 @dataclass(frozen=True)

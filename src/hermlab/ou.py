@@ -44,8 +44,7 @@ class OUSpec:
         if self.lam <= 0 or self.sigma <= 0:
             raise DomainError("need lam > 0 and sigma > 0")
         check_chaos_order(self.q)
-        if not 0.5 < self.H < 1.0:
-            raise DomainError(f"H={self.H} not in (1/2, 1)")
+        HurstMultiIndex(self.H)  # H in (1/2, 1)
 
     def horizon(self) -> float:
         return self.M if self.M is not None else 10.0 / self.lam

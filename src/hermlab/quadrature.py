@@ -138,14 +138,6 @@ def _panel_edges(f: Integrand, panels: int) -> list[np.ndarray]:
     return [np.linspace(lo[a], hi[a], panels + 1) for a in range(f.d)]
 
 
-def _as_hurst_tuple(H) -> tuple[float, ...]:
-    if isinstance(H, HurstMultiIndex):
-        return H.values
-    if np.isscalar(H):
-        return (float(H),)
-    return tuple(float(v) for v in H)
-
-
 # ---------------------------------------------------------------------------
 # The <f,g> inner product
 # ---------------------------------------------------------------------------
@@ -157,12 +149,9 @@ def inner_product_HH(f: Integrand, g: Integrand, H, cfg: QuadratureConfig = DEFA
     Equals the covariance of the Wiener integrals of f and g against a
     Hermite sheet of any order.  Exact for indicator integrands.
     """
-    Hs = _as_hurst_tuple(H)
+    Hs = HurstMultiIndex(H).values
     if f.d != g.d or len(Hs) != f.d:
         raise DomainError("f, g and H must share one dimension")
-    for h in Hs:
-        if not 0.5 < h < 1.0:
-            raise DomainError(f"Hurst entry {h} not in (1/2, 1)")
     ef = _panel_edges(f, cfg.panels)
     F = f.eval(midpoint_mesh(ef))
     if g is f:  # one evaluation, and one equal-step check per kernel
@@ -222,9 +211,7 @@ def limit_constant(H_fixed: Sequence[float], k: int) -> float:
     if k < 0:
         raise DomainError("k must be >= 0")
     out = TWO_PI ** (-0.5 * k)
-    for h in H_fixed:
-        if not 0.5 < h < 1.0:
-            raise DomainError(f"fixed Hurst {h} not in (1/2, 1)")
+    for h in HurstMultiIndex(H_fixed).values if len(H_fixed) else ():
         out *= (h * (2.0 * h - 1.0) * q_alpha(2.0 * h - 1.0)
                 * 2.0 ** (1.0 - h) * float(gamma_fn(1.0 - h)))
     return float(out)
@@ -336,8 +323,7 @@ def fbm_time_kernel_integral(t: float, s: float, h0: float, gexp: float) -> floa
         raise DomainError("t and s must be >= 0")
     if t == 0 or s == 0:
         return 0.0
-    if not 0.5 < h0 < 1.0:
-        raise DomainError(f"h0={h0} not in (1/2, 1)")
+    HurstMultiIndex(h0)  # h0 in (1/2, 1)
     G = gexp + 1.0
     if G <= 0:
         raise DomainError("time exponent not integrable")

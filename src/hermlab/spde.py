@@ -46,8 +46,9 @@ class ExistenceReport(NamedTuple):
     gamma_cond: float
 
 
-def existence_condition(h0: float, H, d: int) -> ExistenceReport:
-    """A unique mild solution exists iff d < 4 H0 + sum_i (2 H_i - 1).
+def existence_condition(h0: float, H) -> ExistenceReport:
+    """A unique mild solution exists iff d < 4 H0 + sum_i (2 H_i - 1), with
+    d = len(H) the spatial dimension.
 
     The sum is taken in exact rationals from each float's shortest decimal,
     so a boundary such as 4*0.66 + 3*(2*0.56 - 1) = 3 rejects d = 3 instead of
@@ -58,7 +59,7 @@ def existence_condition(h0: float, H, d: int) -> ExistenceReport:
         return Fraction(repr(float(x)))
 
     gamma_cond = 4 * exact(h0) + sum(2 * exact(h) - 1 for h in Hs)
-    return ExistenceReport(bool(d < gamma_cond), float(gamma_cond))
+    return ExistenceReport(bool(len(Hs) < gamma_cond), float(gamma_cond))
 
 
 @dataclass(frozen=True)
@@ -76,21 +77,19 @@ class HeatSpec:
     n_internal: int = 512
 
     def __init__(self, q, h0, h, trunc=None, t_steps=256, x_steps=256, n_internal=512):
-        h = tuple(float(v) for v in np.atleast_1d(h))
+        hurst = HurstMultiIndex((h0,) + tuple(np.atleast_1d(h))).values
         object.__setattr__(self, "q", int(q))
-        object.__setattr__(self, "h0", float(h0))
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h0", hurst[0])
+        object.__setattr__(self, "h", hurst[1:])
         object.__setattr__(self, "trunc", None if trunc is None else float(trunc))
         object.__setattr__(self, "t_steps", int(t_steps))
         object.__setattr__(self, "x_steps", int(x_steps))
         object.__setattr__(self, "n_internal", int(n_internal))
         check_chaos_order(self.q)
-        if not 0.5 < self.h0 < 1.0 or any(not 0.5 < v < 1.0 for v in h):
-            raise DomainError("Hurst entries must lie in (1/2, 1)")
-        ok, gamma_cond = existence_condition(self.h0, h, len(h))
+        ok, gamma_cond = existence_condition(self.h0, self.h)
         if not ok:
             raise DomainError(
-                f"no mild solution: d={len(h)} >= 4*H0 + sum(2H-1) = {gamma_cond}"
+                f"no mild solution: d={self.d} >= 4*H0 + sum(2H-1) = {gamma_cond}"
             )
 
     @property
@@ -193,8 +192,7 @@ def heat_limit_covariance(
     scale = limit_constant(fixed_h, k)
     if h0 is None:
         return limit_covariance_bifractional(t, s, gamma0, scale)
-    if not 0.5 < h0 < 1.0:
-        raise DomainError(f"fixed H0={h0} not in (1/2, 1)")
+    HurstMultiIndex(h0)  # the fixed H0 in (1/2, 1)
     if t == 0 or s == 0:
         return 0.0
     time_part = h0 * (2.0 * h0 - 1.0) * fbm_time_kernel_integral(t, s, h0, -gamma0)

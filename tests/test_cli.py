@@ -138,6 +138,38 @@ class TestChaosOrderBound:
         assert "chaos order q=400 must lie in 1..170" in err
 
 
+class TestUnservableRequests:
+    HEAT = ("heat", "--h0", "0.6", "--hurst", "0.8")
+    MC = ("--reps", "4", "--grid", "64", "--n-internal", "256", "--threads", "1")
+
+    @pytest.mark.parametrize("argv", [
+        HEAT + ("--t", "nan"),
+        HEAT + ("--t", "inf"),
+        HEAT + ("--s", "nan"),
+        HEAT + ("--trunc", "nan", "--reps", "2"),
+        ("ou", "--limit-cov", "stationary", "--t", "nan"),
+        ("ou", "--hurst", "0.7", "--t-max", "nan") + MC,
+        ("integral", "--hurst", "0.7", "--t", "nan") + MC,
+        ("integral", "--hurst", "0.7", "--lambda", "nan") + MC,
+        ("simulate", "--q", "2", "--hurst", "0.7", "--grid", "8", "--t-max", "inf", "--out", "{tmp}/x.csv"),
+        ("integral", "--hurst", "0.7", "--panels", "64", "--out", "{tmp}/missing/x.json") + MC,
+        ("sweep", "--target", "half", "--hurst-grid", "0.7", "--out", "{tmp}/missing/x.json"),
+    ], ids=["heat_t_nan", "heat_t_inf", "heat_s_nan", "heat_trunc_nan", "ou_limit_t_nan",
+            "ou_t_max_nan", "integral_t_nan", "integral_lambda_nan", "simulate_t_max_inf",
+            "integral_missing_out_dir", "sweep_missing_out_dir"])
+    def test_exit_2_with_empty_stdout(self, argv, tmp_path, capsys):
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_payload_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "heat_covariance_quadrature", lambda *args: math.nan)
+        code, out, err = run(capsys, *self.HEAT)
+        assert code == 2 and out == ""
+        assert "not JSON compliant" in err
+
+
 class TestHeat:
     def test_quadrature_only(self, capsys):
         code, out, _ = run(

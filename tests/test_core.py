@@ -14,13 +14,18 @@ from hermlab.core import (
     LimitScenario,
     MAX_CHAOS_ORDER,
     RandomField,
-    Tabulated,
     cell_increments,
     derive_stream,
     write_fields_csv,
 )
 from hermlab.ou import OUSpec
-from hermlab.spde import HeatSpec
+from hermlab.quadrature import (
+    fbm_time_kernel_integral,
+    inner_product_HH,
+    limit_constant,
+    sigma_limit,
+)
+from hermlab.spde import HeatSpec, heat_limit_covariance
 from hermlab.stats import target_cdf_hermite_limit
 
 
@@ -64,6 +69,35 @@ class TestTypes:
         for q in (0, MAX_CHAOS_ORDER + 1, 400):
             with pytest.raises(DomainError, match=r"1\.\.170"):
                 make(q)
+
+    # every entry point that takes a Hurst value, with the others in range
+    HURST_ENTRY_POINTS = {
+        "inner_product_HH": lambda H: inner_product_HH(
+            IndicatorBox([0, 0], [1, 1]), IndicatorBox([0, 0], [1, 1]), (0.7, H)),
+        "limit_constant": lambda H: limit_constant([0.7, H], 1),
+        "fbm_time_kernel_integral": lambda H: fbm_time_kernel_integral(1.0, 0.5, H, -0.3),
+        "HeatSpec.h0": lambda H: HeatSpec(2, H, (0.7,)),
+        "HeatSpec.h": lambda H: HeatSpec(2, 0.7, (0.7, H)),
+        "heat_limit_covariance": lambda H: heat_limit_covariance(
+            LimitScenario(a_axes=(0,)), H, 1.0, 0.5),
+        "OUSpec": lambda H: OUSpec(1.0, 1.0, 2, H),
+        "LimitScenario.fixed": lambda H: sigma_limit(
+            IndicatorBox([0, 0], [1, 1]), LimitScenario(a_axes=(0,), fixed={1: H})),
+    }
+
+    @pytest.mark.parametrize("H", [0.5, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("entry", sorted(HURST_ENTRY_POINTS))
+    def test_hurst_domain_at_every_entry_point(self, entry, H):
+        self.HURST_ENTRY_POINTS[entry](0.7)
+        with pytest.raises(DomainError, match=r"not in \(1/2, 1\)"):
+            self.HURST_ENTRY_POINTS[entry](H)
+
+    @pytest.mark.parametrize("origins,extents", [
+        (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan), ([0.0, -math.inf], [1.0, 1.0]),
+    ])
+    def test_grid_refuses_non_finite(self, origins, extents):
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec(origins, extents, [4] * len(np.atleast_1d(origins)))
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -133,12 +167,6 @@ class TestIntegrands:
         assert float(f.eval(np.array([-0.1, 0.0]))) == 0.0
         # at u=0.5 the value is the heat kernel at time 0.5
         assert float(f.eval(np.array([0.5, 0.0]))) == pytest.approx((2 * math.pi * 0.5) ** -0.5)
-
-    def test_tabulated_interp_and_outside(self):
-        g = GridSpec(0, 1, 2)
-        f = Tabulated(g, np.array([0.0, 1.0, 0.0]))
-        assert float(f.eval(np.array([0.25]))) == pytest.approx(0.5)
-        assert float(f.eval(np.array([2.0]))) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):

@@ -11,7 +11,6 @@ from hermlab.core import (
     HermiteSpec,
     IndicatorBox,
     Marginal,
-    Tabulated,
     TruncationError,
     derive_stream,
 )
@@ -25,6 +24,7 @@ from hermlab.integrals import (
 from hermlab.quadrature import QuadratureConfig, inner_product_HH
 from hermlab.spde import HeatSpec, _mild_setup
 from hermlab.stats import ks_distance, target_cdf_hermite_limit
+from tabulated import Tabulated
 
 SEED = 2210
 

@@ -12,7 +12,6 @@ from hermlab.core import (
     HeatWindow,
     IndicatorBox,
     LimitScenario,
-    Tabulated,
     UnsupportedError,
 )
 from hermlab import quadrature
@@ -28,6 +27,7 @@ from hermlab.quadrature import (
     q_alpha,
     sigma_limit,
 )
+from tabulated import Tabulated
 
 CFG = QuadratureConfig(panels=128)
 UNIT = IndicatorBox(0, 1)

@@ -50,8 +50,8 @@ class TestGreen:
 
 class TestExistence:
     def test_examples(self):
-        assert existence_condition(0.55, (0.55,), 1) == (True, pytest.approx(2.3))
-        ok, g = existence_condition(0.6, (0.6, 0.6, 0.6), 3)
+        assert existence_condition(0.55, (0.55,)) == (True, pytest.approx(2.3))
+        ok, g = existence_condition(0.6, (0.6, 0.6, 0.6))
         assert not ok and g == pytest.approx(3.0)
 
     def test_spec_construction_rejects(self):
@@ -60,7 +60,7 @@ class TestExistence:
 
     def test_boundary_decided_exactly(self):
         # 4*0.66 + 3*(2*0.56 - 1) = 3 exactly; float summation gives 3.0000000000000004
-        ok, g = existence_condition(0.66, (0.56,) * 3, 3)
+        ok, g = existence_condition(0.66, (0.56,) * 3)
         assert not ok and g == 3.0
         with pytest.raises(DomainError):
             HeatSpec(2, 0.66, (0.56,) * 3)
