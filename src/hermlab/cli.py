@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 import scipy
@@ -45,6 +44,11 @@ from .spde import (
     sample_mild_solution,
 )
 from .stats import collect_samples, ks_distance, report_from_samples, target_cdf_hermite_limit
+
+
+# values simulate holds until the CSV is written: they and their column copy peak at
+# about 15 B per value (tracemalloc, 16 replicates of 513^2 nodes), 1 GiB at the cap
+SIMULATE_VALUE_CAP = 2**26
 
 
 class _UsageError(Exception):
@@ -125,6 +129,9 @@ def _cmd_simulate(args) -> dict:
     grid = GridSpec([0.0] * d, [args.t_max] * d, [args.grid] * d)
     gaussian = args.q == 1 and any(h <= 0.5 for h in hurst)
     spec = None if gaussian else HermiteSpec(args.q, HurstMultiIndex(hurst))
+    if args.reps * math.prod(grid.shape) > SIMULATE_VALUE_CAP:
+        raise ResourceError(f"{args.reps} replicates of {math.prod(grid.shape)} nodes exceed "
+                            f"the simulate cap of {SIMULATE_VALUE_CAP} values")
     args._fine_mesh = grid.steps if gaussian else fine_mesh(grid.steps, args.n_internal)
 
     def sampler(stream):
@@ -157,13 +164,15 @@ def _cmd_integral(args) -> dict:
     grid = GridSpec(0.0, args.t, args.grid)
     functional = WienerFunctional(f, grid)
     args._fine_mesh = fine_mesh(grid.steps, args.n_internal)
+    quad = inner_product_HH(f, f, hurst, QuadratureConfig(panels=args.panels))
+    if not quad > 0:  # <f, f> > 0 for f != 0, so the integrand underflowed
+        raise DomainError(f"quadrature variance {quad} is not positive; the integrand underflows")
 
     def sampler(stream):
         return functional.sample(spec, args.n_internal, stream)
 
     samples = collect_samples(sampler, args.reps, args.seed, threads=args.threads)
     rep = report_from_samples(samples, args.seed)
-    quad = inner_product_HH(f, f, hurst, QuadratureConfig(panels=args.panels))
     out = rep.as_dict()
     out.update({
         "quadrature_variance": quad,
@@ -220,6 +229,8 @@ def _cmd_sweep(args) -> dict:
 
 
 def _cmd_heat(args) -> dict:
+    if args.reps and not args.t == args.s > 0:  # the replicates estimate Var u(t, x)
+        raise DomainError("heat --reps needs --s equal to --t, both above 0")
     hurst = _hurst_list(args.hurst)
     spec = HeatSpec(
         args.q, args.h0, hurst,
@@ -276,9 +287,7 @@ def _cmd_ou(args) -> dict:
 def _cmd_powercount(args) -> dict:
     with open(args.spec) as fh:
         data = json.load(fh)
-    H = Fraction(args.H) if args.H else None
-    gamma = Fraction(args.gamma) if args.gamma else None
-    system = system_from_dict(data, H=H, gamma=gamma)
+    system = system_from_dict(data, H=args.H, gamma=args.gamma)
     return check_integrability(system).as_dict()
 
 
@@ -402,6 +411,8 @@ def main(argv=None) -> int:
         for name, value in sorted(vars(args).items()):
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"flag {name}={value} must be finite")
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise DomainError(f"--out {args.out}: the directory does not exist")
         _emit(args.func(args), args, started)
     except (DomainError, UnsupportedError, ResourceError, RuntimeError, OSError, ValueError,
             MemoryError) as exc:

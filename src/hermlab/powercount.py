@@ -23,7 +23,9 @@ denominators.  No floating point anywhere in this module.
 """
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -31,16 +33,48 @@ from typing import Iterable, Optional, Sequence
 from .core import DomainError, ResourceError
 
 MAX_FUNCTIONALS = 20
+MAX_LITERAL_EXPONENT = 1000
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.Div: operator.truediv, ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-def _frac(x) -> Fraction:
+def _frac(x, subs: Optional[dict[str, Fraction]] = None) -> Fraction:
+    """x as an exact rational.  A Fraction or int passes as is; a string is
+    read through Python's expression grammar as int, decimal and exponent
+    literals (exponents up to MAX_LITERAL_EXPONENT), unary +/-, binary
+    + - * / and parentheses over the names in `subs`, each literal exactly
+    from its own text, never through a float."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x.strip())
-    raise DomainError(f"not an exact rational: {x!r}")
+    if not isinstance(x, str):
+        raise DomainError(f"not an exact rational: {x!r}")
+    text = x.strip()
+
+    def value(node) -> Fraction:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            literal = ast.get_source_segment(text, node)
+            try:
+                # Fraction("1e999999999") would build a billion-digit integer
+                if abs(int(literal.lower().partition("e")[2] or 0)) <= MAX_LITERAL_EXPONENT:
+                    return Fraction(literal)
+            except ValueError:  # a literal Fraction cannot read, such as 0x10
+                pass
+        elif isinstance(node, ast.Name):
+            if not subs or node.id not in subs:
+                raise DomainError(f"unresolved symbol {node.id!r} in {x!r}; pass a value for it")
+            return subs[node.id]
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in _ARITHMETIC:
+            return _ARITHMETIC[type(node.op)](value(node.operand))
+        elif isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+            return _ARITHMETIC[type(node.op)](value(node.left), value(node.right))
+        raise DomainError(f"not an exact rational expression: {x!r}")
+
+    try:
+        return value(ast.parse(text, mode="eval").body)
+    except (SyntaxError, RecursionError, ZeroDivisionError) as exc:
+        raise DomainError(f"not an exact rational: {x!r} ({type(exc).__name__})") from None
 
 
 @dataclass(frozen=True)
@@ -299,67 +333,19 @@ def check_integrability(system: FunctionalSystem) -> IntegrabilityReport:
 # JSON system descriptors with optional symbolic exponents in H and gamma
 # ---------------------------------------------------------------------------
 
-def _parse_exponent(expr: str, subs: dict[str, Fraction]) -> Fraction:
-    """Parse affine rational expressions like "-2/5", "2*H-2", "-gamma",
-    "4*H-1" with substitutions for the symbols H and gamma."""
-    s = expr.replace(" ", "")
-    if not s:
-        raise DomainError("empty exponent expression")
-    total = Fraction(0)
-    # split into signed terms
-    terms, cur = [], ""
-    for ch in s:
-        if ch in "+-" and cur and cur[-1] not in "+-*/":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    for term in terms:
-        sign = Fraction(1)
-        body = term
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:]
-        if not body:
-            raise DomainError(f"malformed exponent term in {expr!r}")
-        if "*" in body:
-            coef_s, sym = body.split("*", 1)
-            coef = Fraction(coef_s)
-        elif body[0].isdigit():
-            coef, sym = Fraction(body), ""
-        else:
-            coef, sym = Fraction(1), body
-        if sym:
-            if sym not in subs:
-                raise DomainError(f"unresolved symbol {sym!r}; pass a value for it")
-            coef *= subs[sym]
-        total += sign * coef
-    return total
-
-
-def system_from_dict(
-    data: dict,
-    H: Optional[Fraction] = None,
-    gamma: Optional[Fraction] = None,
-) -> FunctionalSystem:
+def system_from_dict(data: dict, H=None, gamma=None) -> FunctionalSystem:
     """Build a system from the JSON descriptor
     {"m": int, "functionals": [{"coeffs": ["1","-1",...], "const": "0"}, ...],
-     "alphas": [...], "betas": [...]}; exponent entries may be rational
-    strings or affine expressions in H and gamma."""
-    subs = {}
-    if H is not None:
-        subs["H"] = _frac(H)
-    if gamma is not None:
-        subs["gamma"] = _frac(gamma)
-    fns = [
-        AffineFunctional(f["coeffs"], f.get("const", 0))
-        for f in data["functionals"]
-    ]
-    alphas = [_parse_exponent(str(a), subs) for a in data["alphas"]]
-    betas = [_parse_exponent(str(b), subs) for b in data["betas"]]
-    return FunctionalSystem(int(data["m"]), fns, alphas, betas)
+     "alphas": [...], "betas": [...]}; exponents may use H and gamma (see
+    `_frac`).  A missing key or a wrong type raises DomainError."""
+    subs = {k: _frac(v) for k, v in (("H", H), ("gamma", gamma)) if v is not None}
+    try:
+        fns = [AffineFunctional(f["coeffs"], f.get("const", 0)) for f in data["functionals"]]
+        alphas = [_frac(str(a), subs) for a in data["alphas"]]
+        betas = [_frac(str(b), subs) for b in data["betas"]]
+        return FunctionalSystem(int(data["m"]), fns, alphas, betas)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise DomainError(f"malformed system descriptor: {type(exc).__name__}: {exc}") from None
 
 
 _CYCLE = tuple(AffineFunctional(c) for c in (

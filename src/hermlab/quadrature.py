@@ -30,11 +30,16 @@ from .core import (
     HurstMultiIndex,
     Integrand,
     LimitScenario,
+    ResourceError,
     UnsupportedError,
     midpoint_mesh,
 )
 
 TWO_PI = 2.0 * math.pi
+
+# panels ** d cells: inner_product_HH peaks at 80 to 89 B of numpy buffers per cell
+# (tracemalloc, 2^20 panels in 1-D, 128^3 in 3-D), so about 1.4 GiB at the cap
+PANEL_CELL_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,8 @@ def _contract(T: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _panel_edges(f: Integrand, panels: int) -> list[np.ndarray]:
+    if panels**f.d > PANEL_CELL_CAP:
+        raise ResourceError(f"{panels}^{f.d} quadrature panels exceed the cap {PANEL_CELL_CAP}")
     lo, hi = f.support()
     return [np.linspace(lo[a], hi[a], panels + 1) for a in range(f.d)]
 

@@ -29,7 +29,6 @@ from .core import (
     Marginal,
     UnsupportedError,
     check_chaos_order,
-    green,  # noqa: F401  (re-exported as spde.green)
 )
 from .fields import check_sheet_cells, fine_mesh
 from .integrals import WienerFunctional
@@ -112,15 +111,17 @@ def window_coverage(t: float, half_width: float, d: int, panels: int = 512) -> f
     return float(np.mean(frac))
 
 
+def _check_coverage(t: float, half_width: float, d: int, remedy: str) -> None:
+    cov = window_coverage(t, half_width, d)
+    if cov < 0.99:
+        raise DomainError(f"spatial truncation keeps only {cov:.4f} of the kernel mass; {remedy}")
+
+
 @functools.lru_cache(maxsize=64)
 def _mild_setup(spec: HeatSpec, t: float, x: tuple) -> WienerFunctional:
     check_sheet_cells(fine_mesh(spec.steps, spec.n_internal))  # before the weights
     L = spec.half_width(t)
-    cov = window_coverage(t, L, spec.d)
-    if cov < 0.99:
-        raise DomainError(
-            f"spatial truncation keeps only {cov:.4f} of the kernel mass; widen trunc"
-        )
+    _check_coverage(t, L, spec.d, "widen trunc")
     origins = [0.0] + [xa - L for xa in x]
     extents = [t] + [2.0 * L] * spec.d
     return WienerFunctional(HeatWindow(t, x, L), GridSpec(origins, extents, spec.steps))
@@ -145,7 +146,7 @@ def sample_mild_solution(spec: HeatSpec, t: float, x, stream: np.random.Generato
 # Covariance quadrature
 # ---------------------------------------------------------------------------
 
-def heat_covariance_quadrature(spec: HeatSpec, t: float, s: float, x=None) -> float:
+def heat_covariance_quadrature(spec: HeatSpec, t: float, s: float) -> float:
     """E u(t,x) u(s,x) for the heat equation in any d via the spectral reduction:
 
         H0(2H0-1) * prod_a [ H_a(2H_a-1) q_(2H_a-1) 2^(1-H_a) Gamma(1-H_a) ]
@@ -208,9 +209,10 @@ def heat_limit_functional(t: float, x, axes, grid: GridSpec, panels: int = 64) -
     kept spatial axes fixes the window truncation.  The limit is the Wiener
     integral of Marginal(window, axes, panels) against a Hermite sheet on
     `grid`; draw it with .sample(HermiteSpec(q, kept Hurst values),
-    n_internal, stream).  Every axis sent to 1 (case 3) leaves no sheet: its
-    limit is t H_q(Z)/sqrt(q!), whose CDF at y is
-    stats.target_cdf_hermite_limit(q)(y / t).
+    n_internal, stream).  As for the mild solution, a truncation that keeps
+    less than 0.99 of the kernel mass is refused.  Every axis sent to 1
+    (case 3) leaves no sheet: its limit is t H_q(Z)/sqrt(q!), whose CDF at
+    y is stats.target_cdf_hermite_limit(q)(y / t).
     """
     x = tuple(float(v) for v in np.atleast_1d(x))
     axes = tuple(sorted(int(a) for a in axes))
@@ -221,4 +223,5 @@ def heat_limit_functional(t: float, x, axes, grid: GridSpec, panels: int = 64) -
     widths = [min(x[j - 1] - lo, hi - x[j - 1])
               for j, lo, hi in zip(kept, grid.lo(), grid.hi()) if j > 0]
     trunc = min(widths) if widths else 6.0 * math.sqrt(t)
+    _check_coverage(t, trunc, len(x), "widen the grid around x")
     return WienerFunctional(Marginal(HeatWindow(t, x, trunc), axes, panels), grid)

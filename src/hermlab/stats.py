@@ -12,7 +12,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,14 +41,7 @@ class MCReport:
             raise DomainError("variance and standard errors must be nonnegative")
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "variance": self.variance,
-            "stderr_mean": self.stderr_mean,
-            "stderr_variance": self.stderr_variance,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def resolve_threads(threads: int | None) -> int:

@@ -170,6 +170,57 @@ class TestUnservableRequests:
         assert "not JSON compliant" in err
 
 
+class TestRefusedBeforeAnyDraw:
+    """Requests the program cannot serve exit 2, with empty stdout and a
+    one-line error, before collect_samples draws anything."""
+
+    HEAT = ("heat", "--h0", "0.6", "--hurst", "0.8", "--t-steps", "16", "--x-steps", "16",
+            "--n-internal", "64", "--reps", "2")
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def drawn(*args, **kwargs):
+            raise AssertionError("replicates drawn for a request that is refused")
+
+        monkeypatch.setattr(cli, "collect_samples", drawn)
+
+    @pytest.mark.parametrize("argv,message", [
+        (("integral", "--hurst", "0.7", "--reps", "2", "--out", "{tmp}/missing/x.json"),
+         "directory does not exist"),
+        (("simulate", "--q", "2", "--hurst", "0.7", "--grid", "8", "--out", "{tmp}/missing/x.csv"),
+         "directory does not exist"),
+        (HEAT + ("--t", "0"), "--s equal to --t"),
+        (HEAT + ("--s", "0"), "--s equal to --t"),
+        (HEAT + ("--s", "0.5"), "--s equal to --t"),
+        (("integral", "--hurst", "0.7", "--reps", "2", "--panels", "200000000"),
+         "quadrature panels exceed the cap"),
+        (("sweep", "--target", "half", "--hurst-grid", "0.7", "--panels", "200000000"),
+         "quadrature panels exceed the cap"),
+        (("simulate", "--q", "1", "--hurst", "0.3,0.3", "--grid", "2048", "--reps", "40",
+          "--out", "{tmp}/x.csv"), "exceed the simulate cap"),
+    ], ids=["integral_missing_out_dir", "simulate_missing_out_dir", "heat_t_0", "heat_s_0",
+            "heat_s_ne_t", "integral_panels", "sweep_panels", "simulate_values"])
+    def test_exit_2(self, argv, message, tmp_path, capsys):
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,descriptor", [
+        (("--H", "1/0"), None),
+        ((), {"m": 1, "functionals": [{"coeffs": ["1"]}], "alphas": ["1/0"], "betas": ["-2"]}),
+        ((), {"functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": ["-2"]}),
+        ((), [{"m": 1}]),
+    ], ids=["H_1_over_0", "exponent_1_over_0", "no_m", "list"])
+    def test_powercount_exit_2(self, argv, descriptor, tmp_path, capsys):
+        spec = cycle_path(tmp_path)
+        if descriptor is not None:
+            Path(spec).write_text(json.dumps(descriptor))
+        code, out, err = run(capsys, "powercount", "--spec", spec, "--gamma", "4/5", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestHeat:
     def test_quadrature_only(self, capsys):
         code, out, _ = run(

@@ -421,3 +421,63 @@ class TestJSON:
         }
         s = system_from_dict(data)
         assert s.alphas == (F(-2, 5),)
+
+    @pytest.mark.parametrize("data", [
+        {"functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": ["-2"]},
+        {"m": 1, "functionals": [{}], "alphas": ["0"], "betas": ["-2"]},
+        {"m": 1, "functionals": ["1"], "alphas": ["0"], "betas": ["-2"]},
+        {"m": 1, "functionals": [{"coeffs": 1}], "alphas": ["0"], "betas": ["-2"]},
+        {"m": None, "functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": ["-2"]},
+        {"m": float("inf"), "functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": ["-2"]},
+        [1, 2],
+    ], ids=["no_m", "no_coeffs", "functional_not_a_dict", "coeffs_not_a_list", "m_none",
+            "m_inf", "list"])
+    def test_malformed_descriptor(self, data):
+        with pytest.raises(DomainError):
+            system_from_dict(data)
+
+
+class TestReader:
+    """`_frac` is the one reader from text to an exact rational."""
+
+    SUBS = {"H": F(3, 5), "gamma": F(4, 5)}
+
+    @pytest.mark.parametrize("text,expected", [
+        ("2*H-2", F(-4, 5)), ("H-1", F(-2, 5)), ("-gamma", F(-4, 5)), ("4*H-1", F(7, 5)),
+        ("-2/5", F(-2, 5)), ("0.5*H", F(3, 10)), ("--1", F(1)), ("3/5", F(3, 5)), (" 7 ", F(7)),
+    ])
+    def test_affine_exponents_read_as_before(self, text, expected):
+        assert powercount._frac(text, self.SUBS) == expected
+
+    def test_exponent_literal_as_a_coefficient(self):
+        assert AffineFunctional(["1e-3"]).coeffs == (F(1, 1000),)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("H/2", F(3, 10)), ("2*(H-1)", F(-4, 5)), ("(1-H)/2", F(1, 5)), ("1e-3", F(1, 1000)),
+    ])
+    def test_arithmetic_exponents(self, text, expected):
+        data = {"m": 1, "functionals": [{"coeffs": ["1"]}], "alphas": [text], "betas": ["-2"]}
+        assert system_from_dict(data, H="3/5").alphas == (expected,)
+
+    def test_literals_read_from_their_text(self):
+        # 0.1 is no binary float: the reader never goes through one
+        assert powercount._frac("0.1") == F(1, 10)
+        assert powercount._frac("1e-30*3") == F(3, 10**30)
+        assert powercount._frac("1e1000") == 10**1000
+
+    @pytest.mark.parametrize("text", [
+        "1/0", "H*", "2**H", "__import__('os')", "True", "1j", "", "H.real", "0x10",
+        "-" * 5000 + "1", "1e1001", "2.5e-999999999",
+    ])
+    def test_refused(self, text):
+        with pytest.raises(DomainError, match="exact rational|unresolved"):
+            powercount._frac(text, self.SUBS)
+
+    def test_unknown_name_is_named(self):
+        with pytest.raises(DomainError, match="unresolved symbol 'x'"):
+            powercount._frac("2*x", self.SUBS)
+
+    def test_fast_paths(self):
+        h = F(3, 5)
+        assert powercount._frac(h) is h
+        assert powercount._frac(4) == F(4)

@@ -13,6 +13,7 @@ from hermlab.core import (
     ResourceError,
     UnsupportedError,
     derive_stream,
+    green,
 )
 from hermlab import spde
 from hermlab.fields import simulate_hermite_sheet
@@ -20,7 +21,6 @@ from hermlab.quadrature import QuadratureConfig, inner_product_HH
 from hermlab.spde import (
     HeatSpec,
     existence_condition,
-    green,
     heat_covariance_quadrature,
     heat_limit_covariance,
     heat_limit_functional,
@@ -238,14 +238,20 @@ class TestLimits:
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_truncation_read_from_the_kept_spatial_axis(self):
-        # x = 0 on the kept axis [-2, 3]: the half-width is 2, the nearer edge
+        # x = 0 on the kept axis [-3, 4]: the half-width is 3, the nearer edge
         from hermlab.core import HeatWindow, Marginal
         from hermlab.integrals import WienerFunctional
 
-        g = GridSpec(-2.0, 5.0, 32)
+        g = GridSpec(-3.0, 7.0, 32)
         W = heat_limit_functional(1.0, (0.0, 0.0), (0, 1), g, panels=8)
-        ref = WienerFunctional(Marginal(HeatWindow(1.0, (0.0, 0.0), 2.0), (0, 1), 8), g)
+        ref = WienerFunctional(Marginal(HeatWindow(1.0, (0.0, 0.0), 3.0), (0, 1), 8), g)
         assert np.array_equal(W.weights, ref.weights)
+
+    def test_narrow_truncation_refused(self):
+        # x = 0 on the kept axis [-0.5, 0.5] keeps 0.58 of the kernel mass at t = 1
+        assert window_coverage(1.0, 0.5, 1) < 0.6
+        with pytest.raises(DomainError, match="kernel mass"):
+            heat_limit_functional(1.0, 0.0, (0,), GridSpec(-0.5, 1.0, 64))
 
     def test_case1_sampler_variance_matches_high_H_quadrature(self):
         # d=2, spatial axis 0 to 1 (with time), axis 1 fixed at 0.7
