@@ -15,12 +15,15 @@ dots the increments directly.  Gaussian arrays come from circulant embedding
 drawn in the spectral domain: the half spectrum of real white noise is itself
 a complex Gaussian array of known law, so it is drawn directly, scaled per
 frequency plane and sent through one axis-by-axis inverse real FFT, which
-keeps the embedded covariance exact.  That per-bin scale is the one cached
-quantity: the cache is keyed by the sampler's exact (H, q, N) and holds at
-most 8 entries.  It is set up in place: each axis's even circulant column is
-written into one complex buffer, which is transformed in place and dropped
-once its eigenvalues are read out.  Direct discretization of the chaos kernel is O(cells^q)
-and lives only in the ChaosKernel oracle.
+keeps the embedded covariance exact.  numpy.fft is the one FFT: it builds
+its plans per call, so no plan outlives a draw or a set-up.  That per-bin
+scale is the one cached quantity: the cache is keyed by the sampler's exact
+(H, q, N) and holds at most 8 entries (a drawing thread also keeps its
+noise buffer, as workspace).  The scale is set up in place: each
+axis's even circulant column is written into one complex buffer, which is
+transformed in place and dropped once its eigenvalues are read out.  Direct
+discretization of the chaos kernel is O(cells^q) and lives only in the
+ChaosKernel oracle.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.fft as sfft
 
 from .core import (
     DomainError,
@@ -46,6 +48,7 @@ from .core import (
 _CACHE_LOCK = threading.Lock()
 _CACHE_SIZE = 8
 _SQRT_EIG_CACHE: dict = {}  # (Hs, q, N) -> half-spectrum scale of the spectral draw
+_NOISE = threading.local()  # .buf: this thread's noise buffer, of its last draw's shape
 
 
 CHAOS_CELL_CAP = 2**21
@@ -127,8 +130,6 @@ def _circulant_eigs(H: float, n: int, q: int) -> np.ndarray:
     c.real[: n + 1] = rho
     c.real[n + 1:] = rho[n - 1:0:-1]
     del rho  # so the set-up peak is the buffer plus the eigenvalues read out of it
-    # numpy builds its plan per call; scipy.fft would keep this 2n-point plan,
-    # 16 B per cell, in its plan cache for the life of the process
     np.fft.fft(c, out=c)
     eig = c.real
     if eig.min() < -1e-10 * eig.max():
@@ -172,16 +173,35 @@ def _stationary_unit_field(scale: np.ndarray, stream: np.random.Generator) -> np
     are scaled by sqrt(M lam).  The output is linear in the noise and its
     covariance is C exactly; the first half of each axis carries the target.
     The inverse is irfftn taken one axis at a time, so the unused second
-    half of each leading axis is dropped before the next pass.
+    half of each leading axis is dropped before the next pass; each leading
+    pass writes its result into its input (out=x), so a draw holds one half
+    spectrum, not two.
+
+    The noise is drawn into a buffer that each thread keeps for the shape of
+    its last draw (8 B per circulant cell) until release_noise_buffer, which
+    stats.collect_samples calls after each run of replicates on a thread, so
+    no idle thread holds one.  numpy.fft allocates and frees its plan and
+    scratch, 16 B per cell, on every call; when a draw also freed its noise,
+    the allocator could return the whole heap top to the system and fault
+    it in again on the next draw: 224 page faults per replicate in a default
+    `hermlab integral` run, and about 1.5 times its run time.
     """
     shape = scale.shape[:-1] + (2 * (scale.shape[-1] - 1),)
-    x = stream.standard_normal(scale.shape + (2,)).view(np.complex128)[..., 0]
+    buf = getattr(_NOISE, "buf", None)
+    if buf is None or buf.shape != scale.shape + (2,):
+        buf = _NOISE.buf = np.empty(scale.shape + (2,))
+    x = stream.standard_normal(out=buf).view(np.complex128)[..., 0]
     x *= scale
     for a, m in enumerate(shape[:-1]):
-        x = sfft.ifft(x, axis=a, overwrite_x=True)
+        np.fft.ifft(x, axis=a, out=x)
         x = x[(slice(None),) * a + (slice(0, m // 2),)]
-    x = sfft.irfft(x, n=shape[-1], axis=-1)
+    x = np.fft.irfft(x, n=shape[-1], axis=-1)
     return x[..., : shape[-1] // 2]
+
+
+def release_noise_buffer() -> None:
+    """Drop the noise buffer this thread keeps between draws."""
+    _NOISE.__dict__.pop("buf", None)
 
 
 def _block_sum(incr: np.ndarray, strides: Sequence[int]) -> np.ndarray:

@@ -337,13 +337,26 @@ def system_from_dict(data: dict, H=None, gamma=None) -> FunctionalSystem:
     """Build a system from the JSON descriptor
     {"m": int, "functionals": [{"coeffs": ["1","-1",...], "const": "0"}, ...],
      "alphas": [...], "betas": [...]}; exponents may use H and gamma (see
-    `_frac`).  A missing key or a wrong type raises DomainError."""
+    `_frac`).  A missing key or a wrong type raises DomainError: functionals,
+    coeffs, alphas and betas must be lists (a string is not read as its
+    characters) and m an int (a bool or a float is not truncated)."""
     subs = {k: _frac(v) for k, v in (("H", H), ("gamma", gamma)) if v is not None}
+
+    def listed(obj, key):
+        value = obj[key]
+        if not isinstance(value, list):
+            raise TypeError(f"{key!r} must be a list, not {type(value).__name__}")
+        return value
+
     try:
-        fns = [AffineFunctional(f["coeffs"], f.get("const", 0)) for f in data["functionals"]]
-        alphas = [_frac(str(a), subs) for a in data["alphas"]]
-        betas = [_frac(str(b), subs) for b in data["betas"]]
-        return FunctionalSystem(int(data["m"]), fns, alphas, betas)
+        m = data["m"]
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise TypeError(f"'m' must be an integer, not {type(m).__name__}")
+        fns = [AffineFunctional(listed(f, "coeffs"), f.get("const", 0))
+               for f in listed(data, "functionals")]
+        alphas = [_frac(str(a), subs) for a in listed(data, "alphas")]
+        betas = [_frac(str(b), subs) for b in listed(data, "betas")]
+        return FunctionalSystem(m, fns, alphas, betas)
     except (KeyError, TypeError, OverflowError) as exc:
         raise DomainError(f"malformed system descriptor: {type(exc).__name__}: {exc}") from None
 

@@ -10,10 +10,12 @@ When both edge arrays are equally spaced with one step h, the mass of a panel
 pair depends only on its lag i-j: the antiderivative is evaluated once at the
 n_u+n_v+1 lag positions, and their second differences are the n_u+n_v-1 lag
 masses of a Toeplitz kernel.  Contractions apply that kernel by a zero-padded
-real-FFT correlation, O(n log n) per axis line, and never form the matrix.
+real-FFT correlation (numpy.fft at a 5-smooth length), O(n log n) per axis
+line, and never form the matrix.
 Edges with unequal steps take the four-corner formula, four antiderivative
 evaluations per panel pair, and contract the dense matrix.  The dense Toeplitz
 matrix is built only for callers that ask for it (`abs_pow_cell_masses`).
+The closed-form constants import scipy.special on their first call.
 """
 from __future__ import annotations
 
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.special import beta as beta_fn, betainc, gamma as gamma_fn, hyp2f1
 
 from .core import (
     DomainError,
@@ -117,6 +117,20 @@ def _toeplitz(k: np.ndarray, nv: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(k[::-1], nv)[::-1].copy()
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, pocketfft's fast real-FFT length (as
+    scipy.fft.next_fast_len(n, real=True) gives it)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 * 2^k, the least such multiple >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _apply_lags(T: np.ndarray, lag: np.ndarray, axis: int) -> np.ndarray:
     """np.tensordot(T, toeplitz(lag[nv-1:], lag[nv-1::-1]), axes=(axis, 0))
     without the matrix: out[j] = sum_i T[i] lag[i-j+nv-1] is entry nu-1+j of
@@ -125,9 +139,9 @@ def _apply_lags(T: np.ndarray, lag: np.ndarray, axis: int) -> np.ndarray:
     The result axis goes last, as tensordot puts it."""
     nu = T.shape[axis]
     nv = len(lag) - nu + 1
-    n = sfft.next_fast_len(len(lag), real=True)
-    kernel = sfft.rfft(lag[::-1], n).reshape((-1,) + (1,) * (T.ndim - axis - 1))
-    out = sfft.irfft(sfft.rfft(T, n, axis=axis) * kernel, n, axis=axis)
+    n = _next_fast_len(len(lag))
+    kernel = np.fft.rfft(lag[::-1], n).reshape((-1,) + (1,) * (T.ndim - axis - 1))
+    out = np.fft.irfft(np.fft.rfft(T, n, axis=axis) * kernel, n, axis=axis)
     return np.moveaxis(out, axis, -1)[..., nu - 1:nu - 1 + nv]
 
 
@@ -182,6 +196,8 @@ def q_alpha(alpha: float) -> float:
     """(2^(1-a) sqrt(pi))^(-1) Gamma(a/2) / Gamma((1-a)/2) for a in (0,1)."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha} outside (0, 1)")
+    from scipy.special import gamma as gamma_fn
+
     return float(
         gamma_fn(alpha / 2.0) / (2.0 ** (1.0 - alpha) * math.sqrt(math.pi) * gamma_fn((1.0 - alpha) / 2.0))
     )
@@ -217,6 +233,8 @@ def limit_constant(H_fixed: Sequence[float], k: int) -> float:
     kernel's Fourier weight; each fixed axis keeps its pre-limit factor."""
     if k < 0:
         raise DomainError("k must be >= 0")
+    from scipy.special import gamma as gamma_fn
+
     out = TWO_PI ** (-0.5 * k)
     for h in HurstMultiIndex(H_fixed).values if len(H_fixed) else ():
         out *= (h * (2.0 * h - 1.0) * q_alpha(2.0 * h - 1.0)
@@ -337,6 +355,7 @@ def fbm_time_kernel_integral(t: float, s: float, h0: float, gexp: float) -> floa
     t, s = max(t, s), min(t, s)  # symmetric in (t, s)
     T, D = t + s, t - s
     c = 2.0 * h0 - 2.0
+    from scipy.special import beta as beta_fn, betainc, hyp2f1
 
     def beta_piece(L):
         # int_0^L x^c (T-x)^G dx = T^(c+G+1) B(L/T; c+1, G+1)

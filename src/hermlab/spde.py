@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import erf
 
 from .core import (
     DomainError,
@@ -106,6 +105,8 @@ class HeatSpec:
 
 def window_coverage(t: float, half_width: float, d: int, panels: int = 512) -> float:
     """Fraction of int_0^t int G(t-u, y) dy du captured by |y_a| <= half_width."""
+    from scipy.special import erf
+
     u = (np.arange(panels) + 0.5) * (t / panels)
     frac = erf(half_width / np.sqrt(2.0 * u)) ** d
     return float(np.mean(frac))

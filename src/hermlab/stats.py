@@ -16,10 +16,9 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import DomainError, check_chaos_order, derive_stream
-from .fields import hermite_poly
+from .fields import hermite_poly, release_noise_buffer
 
 # Replicates this short hold the interpreter lock, so threads only add contention.
 # On a 2-vCPU host a criterion-9 replicate takes 0.05 ms (0.3 to 0.4 ms as the
@@ -67,8 +66,11 @@ def collect_samples(
     out = [None] * n
 
     def run(lo: int, hi: int):
-        for i in range(lo, hi):
-            out[i] = sampler(derive_stream(master_seed, i))
+        try:
+            for i in range(lo, hi):
+                out[i] = sampler(derive_stream(master_seed, i))
+        finally:  # a thread keeps its sampler workspace for one run of replicates
+            release_noise_buffer()
 
     start = 0
     if threads is None:
@@ -144,6 +146,8 @@ def target_cdf_hermite_limit(q: int) -> Callable[[np.ndarray], np.ndarray]:
     mass where H_q <= x sqrt(q!).  The roots of H_q lie in |z| < sqrt(4q+2),
     so sqrt(4q+2) + |x sqrt(q!)|^(1/q) bounds the two unbounded pieces."""
     check_chaos_order(q)
+    from scipy.special import ndtr
+
     i = np.arange(q - 2)
     jacobi = np.zeros((q - 1, q - 1))
     jacobi[i, i + 1] = jacobi[i + 1, i] = np.sqrt(i + 1.0)

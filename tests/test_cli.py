@@ -211,7 +211,9 @@ class TestRefusedBeforeAnyDraw:
         ((), {"m": 1, "functionals": [{"coeffs": ["1"]}], "alphas": ["1/0"], "betas": ["-2"]}),
         ((), {"functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": ["-2"]}),
         ((), [{"m": 1}]),
-    ], ids=["H_1_over_0", "exponent_1_over_0", "no_m", "list"])
+        ((), {"m": 2, "functionals": [{"coeffs": "12"}], "alphas": ["0"], "betas": ["-3"]}),
+        ((), {"m": 2.7, "functionals": [{"coeffs": ["1", "2"]}], "alphas": ["0"], "betas": ["-3"]}),
+    ], ids=["H_1_over_0", "exponent_1_over_0", "no_m", "list", "coeffs_string", "m_float"])
     def test_powercount_exit_2(self, argv, descriptor, tmp_path, capsys):
         spec = cycle_path(tmp_path)
         if descriptor is not None:

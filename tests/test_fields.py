@@ -1,6 +1,10 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,7 +281,34 @@ def out_of_place_scale(Hs, q, N):
     return np.sqrt(functools.reduce(np.multiply.outer, eigs[:-1] + [last]))
 
 
+def scipy_unit_field(scale, stream):
+    """_stationary_unit_field with scipy.fft, as it was written before
+    numpy.fft took over: ifft with overwrite_x along each leading axis, the
+    unused half dropped after each, then irfft along the last axis."""
+    shape = scale.shape[:-1] + (2 * (scale.shape[-1] - 1),)
+    x = stream.standard_normal(scale.shape + (2,)).view(np.complex128)[..., 0]
+    x *= scale
+    for a, m in enumerate(shape[:-1]):
+        x = sfft.ifft(x, axis=a, overwrite_x=True)
+        x = x[(slice(None),) * a + (slice(0, m // 2),)]
+    x = sfft.irfft(x, n=shape[-1], axis=-1)
+    return x[..., : shape[-1] // 2]
+
+
 class TestCirculant:
+    @pytest.mark.parametrize("N,hursts,q", [
+        ((2**12,), (0.7,), 2), ((1000,), (0.9,), 3), ((3 * 7 * 11,), (0.6,), 1),
+        ((64, 48), (0.7, 0.6), 2), ((12, 35), (0.95, 0.65), 1),
+        ((16, 12, 8), (0.7, 0.6, 0.8), 3), ((5, 9, 6), (0.55, 0.75, 0.65), 2),
+    ])
+    def test_numpy_fft_bit_identical_to_scipy_fft(self, N, hursts, q, monkeypatch):
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+        scale = fields._spectral_scale(hursts, q, N)
+        got = fields._stationary_unit_field(scale, derive_stream(SEED, 24))
+        ref = scipy_unit_field(scale, derive_stream(SEED, 24))
+        assert got.shape == ref.shape == N
+        assert got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("shape,hursts,q", [
         (shape, hursts, q)
         for shape, hursts in [
@@ -310,6 +341,79 @@ class TestCirculant:
             tracemalloc.stop()
         assert peak / (2 * n) < 26.0
 
+    def test_draw_traced_peak_per_circulant_cell(self, monkeypatch):
+        """Traced peak of a 2-D draw at N = (256, 256), in bytes per
+        circulant cell (512^2 cells), once the thread holds its noise buffer.
+        Measured 4.0: the real output of the last pass (half its axis kept).
+        An out-of-place pass over the leading axis adds a half spectrum
+        (8 B), and a fresh noise array per draw another 8 B.  The bound is 6."""
+        N = (256, 256)
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+        scale = fields._spectral_scale((0.7, 0.6), 2, N)
+        fields._stationary_unit_field(scale, derive_stream(SEED, 0))
+        tracemalloc.start()
+        try:
+            fields._stationary_unit_field(scale, derive_stream(SEED, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / math.prod(2 * n for n in N) < 6.0
+
+    @pytest.mark.parametrize("N", [(64,), (16, 12), (6, 5, 4)])
+    def test_draws_on_one_thread_do_not_share_memory(self, N, monkeypatch):
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+        scale = fields._spectral_scale((0.7,) * len(N), 2, N)
+        first = fields._stationary_unit_field(scale, derive_stream(SEED, 2))
+        kept = first.copy()
+        second = fields._stationary_unit_field(scale, derive_stream(SEED, 3))
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+
+    def test_collect_samples_releases_the_noise_buffer(self, monkeypatch):
+        monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+        grid = GridSpec(0.0, 1.0, 16)
+        spec = HermiteSpec(2, 0.7)
+
+        def sampler(stream):
+            incr = fields.hermite_sheet_increments(spec, grid, 256, stream)
+            assert fields._NOISE.buf.shape == (257, 2)  # kept between replicates
+            return float(incr.sum())
+
+        fields.release_noise_buffer()
+        collect_samples(sampler, 4, SEED, threads=1)
+        assert not hasattr(fields._NOISE, "buf")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+    @pytest.mark.parametrize("pad", [1000, 3000, 6000])
+    def test_replicates_do_not_fault_the_heap_in_again(self, pad):
+        """A default `integral` run through cli.main: after three warm
+        replicates, the next 100 take 2.3 minor page faults each, the noise
+        buffer's first touch spread over the run.  A draw that frees its
+        noise as well as numpy.fft's plan and scratch took 224 each, the
+        allocator returning the heap top to the system at every replicate.
+        Whether it does so depends on the heap layout, so the probe runs
+        under environments of three sizes; the bound is 20."""
+        probe = (
+            "import io, contextlib, resource, sys\n"
+            "import hermlab.cli\n"
+            "from hermlab import stats\n"
+            "def counted(sampler, n, seed, threads=None):\n"
+            "    stats.collect_samples(sampler, 3, seed + 1, threads)\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    out = stats.collect_samples(sampler, n, seed, threads)\n"
+            "    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / n,"
+            " file=sys.stderr)\n"
+            "    return out\n"
+            "hermlab.cli.collect_samples = counted\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert hermlab.cli.main('integral --hurst 0.7 --reps 100 --threads 1'.split()) == 0\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   HERMLAB_TEST_PAD="x" * pad)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert float(proc.stderr.split()[-1]) < 20.0
+
     def test_autocov_values(self):
         rho = fgn_autocov(0.5, 8)
         assert rho[0] == pytest.approx(1.0)
@@ -331,8 +435,9 @@ class TestCirculant:
             def __init__(self, j):
                 self.j = j
 
-            def standard_normal(self, size):
-                e = np.zeros(size)
+            def standard_normal(self, size=None, out=None):  # as Generator's
+                e = np.zeros(size) if out is None else out
+                e[...] = 0.0
                 e.reshape(-1)[self.j] = 1.0
                 return e
 

@@ -430,8 +430,19 @@ class TestJSON:
         {"m": None, "functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": ["-2"]},
         {"m": float("inf"), "functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": ["-2"]},
         [1, 2],
+        {"m": 2, "functionals": [{"coeffs": "12"}], "alphas": ["0"], "betas": ["-3"]},
+        {"m": 1, "functionals": [{"coeffs": ["1"]}], "alphas": "0", "betas": ["-3"]},
+        {"m": 1, "functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": "-3"},
+        {"m": 1, "functionals": {"coeffs": ["1"]}, "alphas": ["0"], "betas": ["-3"]},
+        {"m": 1, "functionals": [{"coeffs": ("1",)}], "alphas": ["0"], "betas": ["-3"]},
+        {"m": 2.7, "functionals": [{"coeffs": ["1", "1"]}], "alphas": ["0"], "betas": ["-3"]},
+        {"m": 1.0, "functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": ["-3"]},
+        {"m": True, "functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": ["-3"]},
+        {"m": "1", "functionals": [{"coeffs": ["1"]}], "alphas": ["0"], "betas": ["-3"]},
     ], ids=["no_m", "no_coeffs", "functional_not_a_dict", "coeffs_not_a_list", "m_none",
-            "m_inf", "list"])
+            "m_inf", "list", "coeffs_string", "alphas_string", "betas_string",
+            "functionals_dict", "coeffs_tuple", "m_float", "m_integral_float", "m_bool",
+            "m_string"])
     def test_malformed_descriptor(self, data):
         with pytest.raises(DomainError):
             system_from_dict(data)

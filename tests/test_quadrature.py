@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.integrate import quad
 
 from hermlab.core import (
@@ -227,6 +228,28 @@ class TestApplyLags:
             assert got.shape == ref.shape
             scale = np.max(np.abs(T)) * np.max(np.sum(M, axis=0))
             assert np.max(np.abs(got - ref)) <= gate * scale
+
+    @pytest.mark.parametrize("shape,axis", [
+        ((128,), 0), ((1000,), 0), ((128, 7), 0), ((6, 100), 1),
+        ((30, 5, 4), 0), ((4, 45, 3), 1), ((3, 4, 64), 2),
+    ])
+    def test_bit_identical_to_scipy_fft(self, shape, axis):
+        nu = shape[axis]
+        # offset edges of one step, 80 panels on the v side
+        lag = quadrature._mass_kernel(np.arange(nu + 1) / nu, 0.25 + np.arange(81) / nu, -0.6)
+        assert lag.shape == (nu + 80 - 1,)
+        T = np.random.default_rng(24).standard_normal(shape)
+        # _apply_lags as it was written on scipy.fft
+        n = sfft.next_fast_len(len(lag), real=True)
+        kernel = sfft.rfft(lag[::-1], n).reshape((-1,) + (1,) * (T.ndim - axis - 1))
+        ref = sfft.irfft(sfft.rfft(T, n, axis=axis) * kernel, n, axis=axis)
+        ref = np.moveaxis(ref, axis, -1)[..., nu - 1:nu - 1 + 80]
+        assert quadrature._apply_lags(T, lag, axis).tobytes() == ref.tobytes()
+
+    def test_next_fast_len_is_scipys_real_length(self):
+        ns = list(range(1, 5001)) + [2**20 + 1, 3**12 - 1, 10**6 + 7, 5**9 + 1, 2**24 - 3]
+        assert [quadrature._next_fast_len(n) for n in ns] == [
+            sfft.next_fast_len(n, real=True) for n in ns]
 
     def test_unequal_steps_keep_the_dense_matrix(self):
         k = quadrature._mass_kernel(np.linspace(0, 1, 129), np.linspace(0, 0.5, 129), -0.6)
