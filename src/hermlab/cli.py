@@ -26,12 +26,16 @@ from .core import (
     IndicatorBox,
     LimitScenario,
     ResourceError,
-    UnsupportedError,
     check_chaos_order,
     write_fields_csv,
 )
 from . import acceptance, stats
-from .fields import fine_mesh, simulate_fractional_gaussian_sheet, simulate_hermite_sheet
+from .fields import (
+    check_sheet_cells,
+    fine_mesh,
+    simulate_fractional_gaussian_sheet,
+    simulate_hermite_sheet,
+)
 from .integrals import WienerFunctional
 from .ou import OUSpec, driving_grid, ou_limit_covariance, simulate_hou
 from .powercount import check_integrability, system_from_dict
@@ -111,7 +115,10 @@ def _resolve_seed(args) -> int:
         return int(args.seed)
     env = os.environ.get("HERMLAB_SEED")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise DomainError(f"HERMLAB_SEED={env!r} is not an integer") from None
     return acceptance.MASTER_SEED if args.command == "verify" else 0
 
 
@@ -162,8 +169,9 @@ def _cmd_integral(args) -> dict:
     f = _make_integrand(args)
     spec = HermiteSpec(args.q, HurstMultiIndex(hurst))
     grid = GridSpec(0.0, args.t, args.grid)
-    functional = WienerFunctional(f, grid)
     args._fine_mesh = fine_mesh(grid.steps, args.n_internal)
+    check_sheet_cells(args._fine_mesh)  # before the weights
+    functional = WienerFunctional(f, grid)
     quad = inner_product_HH(f, f, hurst, QuadratureConfig(panels=args.panels))
     if not quad > 0:  # <f, f> > 0 for f != 0, so the integrand underflowed
         raise DomainError(f"quadrature variance {quad} is not positive; the integrand underflows")
@@ -185,7 +193,11 @@ def _cmd_sweep(args) -> dict:
     hurst_grid = _hurst_list(args.hurst_grid)
     f = _make_integrand(args)
     spec_grid = GridSpec(0.0, args.t, args.grid)
-    functional = WienerFunctional(f, spec_grid)
+    if args.reps:
+        args._fine_mesh = fine_mesh(spec_grid.steps, args.n_internal)
+        check_sheet_cells(args._fine_mesh)  # before the weights
+    if args.reps or args.target == "one":
+        functional = WienerFunctional(f, spec_grid)
     quad_vals = [
         inner_product_HH(f, f, h, QuadratureConfig(panels=args.panels)) for h in hurst_grid
     ]
@@ -206,7 +218,6 @@ def _cmd_sweep(args) -> dict:
         f_int = float(np.sum(functional.weights) * spec_grid.mesh[0])
         result["limit_variance"] = f_int**2
     if args.reps:
-        args._fine_mesh = fine_mesh(spec_grid.steps, args.n_internal)
         mc_vars, ks_vals = [], []
         cdf = target_cdf_hermite_limit(args.q)
         for h in hurst_grid:
@@ -405,17 +416,17 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    args.seed = _resolve_seed(args)
     started = time.time()
     try:
+        args.seed = _resolve_seed(args)
+        stats.resolve_threads(args.threads)  # refuses a count above stats.THREAD_CAP
         for name, value in sorted(vars(args).items()):
             if isinstance(value, float) and not math.isfinite(value):
                 raise DomainError(f"flag {name}={value} must be finite")
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise DomainError(f"--out {args.out}: the directory does not exist")
         _emit(args.func(args), args, started)
-    except (DomainError, UnsupportedError, ResourceError, RuntimeError, OSError, ValueError,
-            MemoryError) as exc:
+    except (RuntimeError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

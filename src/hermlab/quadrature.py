@@ -1,5 +1,6 @@
-"""Deterministic quadrature for the singular-kernel inner products and every
-closed-form constant used by the limit theorems.
+"""Deterministic quadrature for the singular-kernel inner products, the
+generic closed-form constants of the limit theorems (q_alpha, limit_constant)
+and the singular time kernel of the heat covariance, which spde assembles.
 
 The weight |u-v|^(2H-2) is integrated exactly over each panel pair through its
 double antiderivative |w|^(2H)/(2H(2H-1)); integrand values are sampled at
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -203,29 +204,6 @@ def q_alpha(alpha: float) -> float:
     )
 
 
-class EffectiveExponents(NamedTuple):
-    gamma: float
-    gamma0: float
-
-
-def effective_exponents(d: int, scenario: LimitScenario) -> EffectiveExponents:
-    """Spatial decay exponents at the limit, with the sign fixed so that the
-    all-axes-to-1/2 case in d=1 yields gamma = 1/2:
-
-        gamma  = d - sum_a H_a^lim
-        gamma0 = d - k/2 - sum_{a not in A_k} H_a^lim
-
-    d is the spatial dimension; axis limits come from the scenario
-    (A_k -> 1/2, B_p -> 1, fixed values otherwise).  The time index H0
-    does not enter.
-    """
-    targets = scenario.target(d)
-    gamma = d - sum(targets)
-    k = scenario.k
-    gamma0 = d - 0.5 * k - sum(targets[a] for a in range(d) if a not in scenario.a_axes)
-    return EffectiveExponents(float(gamma), float(gamma0))
-
-
 def limit_constant(H_fixed: Sequence[float], k: int) -> float:
     """Prefactor of the limit covariance when k axes collapse to white noise:
     (2 pi)^(-k/2) * prod_fixed H(2H-1) q_(2H-1) 2^(1-H) Gamma(1-H), using
@@ -240,16 +218,6 @@ def limit_constant(H_fixed: Sequence[float], k: int) -> float:
         out *= (h * (2.0 * h - 1.0) * q_alpha(2.0 * h - 1.0)
                 * 2.0 ** (1.0 - h) * float(gamma_fn(1.0 - h)))
     return float(out)
-
-
-def limit_covariance_bifractional(t: float, s: float, gamma0: float, scale: float) -> float:
-    """scale * (1/2) (1/(1-gamma0)) ((t+s)^(1-gamma0) - |t-s|^(1-gamma0))."""
-    if t < 0 or s < 0:
-        raise DomainError("t and s must be >= 0")
-    K = 1.0 - gamma0
-    if not 0.0 < K <= 1.0:
-        raise DomainError(f"covariance exponent 1-gamma0={K} outside (0, 1]")
-    return float(scale * 0.5 / K * ((t + s) ** K - abs(t - s) ** K))
 
 
 # ---------------------------------------------------------------------------

@@ -26,17 +26,13 @@ from .core import (
     HurstMultiIndex,
     LimitScenario,
     Marginal,
+    TruncationError,
     UnsupportedError,
     check_chaos_order,
 )
 from .fields import check_sheet_cells, fine_mesh
-from .integrals import WienerFunctional
-from .quadrature import (
-    effective_exponents,
-    fbm_time_kernel_integral,
-    limit_constant,
-    limit_covariance_bifractional,
-)
+from .integrals import MASS_TOL, WienerFunctional
+from .quadrature import fbm_time_kernel_integral, limit_constant
 
 
 class ExistenceReport(NamedTuple):
@@ -114,8 +110,8 @@ def window_coverage(t: float, half_width: float, d: int, panels: int = 512) -> f
 
 def _check_coverage(t: float, half_width: float, d: int, remedy: str) -> None:
     cov = window_coverage(t, half_width, d)
-    if cov < 0.99:
-        raise DomainError(f"spatial truncation keeps only {cov:.4f} of the kernel mass; {remedy}")
+    if cov < 1.0 - MASS_TOL:
+        raise TruncationError(f"spatial truncation keeps only {cov:.4f} of the kernel mass; {remedy}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -144,8 +140,34 @@ def sample_mild_solution(spec: HeatSpec, t: float, x, stream: np.random.Generato
 
 
 # ---------------------------------------------------------------------------
-# Covariance quadrature
+# Covariance: the quadrature and its H -> 1/2 limits
 # ---------------------------------------------------------------------------
+
+def _heat_covariance(h0: Optional[float], fixed_h, k: int, targets, t: float, s: float) -> float:
+    """E u(t,x) u(s,x) when k spatial axes are sent to 1/2, `fixed_h` holds
+    the Hurst values of the fixed axes and `targets` every axis's limit
+    Hurst value (1/2 on A_k, 1 on B_p, the value on a fixed axis):
+
+        limit_constant(fixed_h, k) * H0(2H0-1)
+        * int_0^t int_0^s |u-v|^(2H0-2) (t+s-u-v)^(-gamma0) du dv,
+
+    gamma0 = d - sum(targets).  With every axis fixed (k = 0) this is the
+    pre-limit covariance.  h0 = None sends H0 to 1/2 too, where the time
+    factor tends to ((t+s)^K - |t-s|^K) / (2K), K = 1 - gamma0 in (0, 1].
+    """
+    if t < 0 or s < 0:
+        raise DomainError("t and s must be >= 0")
+    gamma0 = len(targets) - sum(targets)
+    scale = limit_constant(fixed_h, k)
+    if h0 is None:
+        K = 1.0 - gamma0
+        if not 0.0 < K <= 1.0:
+            raise DomainError(f"covariance exponent 1-gamma0={K} outside (0, 1]")
+        return scale * (((t + s) ** K - abs(t - s) ** K) / (2.0 * K))
+    if t == 0 or s == 0:
+        return 0.0
+    return h0 * (2.0 * h0 - 1.0) * scale * fbm_time_kernel_integral(t, s, h0, -gamma0)
+
 
 def heat_covariance_quadrature(spec: HeatSpec, t: float, s: float) -> float:
     """E u(t,x) u(s,x) for the heat equation in any d via the spectral reduction:
@@ -157,14 +179,7 @@ def heat_covariance_quadrature(spec: HeatSpec, t: float, s: float) -> float:
     2^(1-H) Gamma(1-H) = int |tau|^(1-2H) e^(-tau^2/2) dtau.  The value does
     not depend on x (spatial stationarity).
     """
-    if t < 0 or s < 0:
-        raise DomainError("t and s must be >= 0")
-    if t == 0 or s == 0:
-        return 0.0
-    h0 = spec.h0
-    gexp = sum(spec.h) - spec.d
-    return (h0 * (2.0 * h0 - 1.0) * limit_constant(spec.h, 0)
-            * fbm_time_kernel_integral(t, s, h0, gexp))
+    return _heat_covariance(spec.h0, spec.h, 0, spec.h, t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +200,13 @@ def heat_limit_covariance(
     prefactor.  h0 = value: time index fixed (case 2); the fractional time
     kernel is kept and integrated against (t+s-u-v)^(-gamma0).
     """
-    k = scenario.k
-    if k < 1:
+    if scenario.k < 1:
         raise DomainError("at least one spatial axis must be driven to 1/2")
-    fixed_h = [scenario.fixed[a] for a in sorted(scenario.fixed)]
-    d = k + len(scenario.b_axes) + len(fixed_h)
-    gamma0 = effective_exponents(d, scenario).gamma0
-    scale = limit_constant(fixed_h, k)
-    if h0 is None:
-        return limit_covariance_bifractional(t, s, gamma0, scale)
-    HurstMultiIndex(h0)  # the fixed H0 in (1/2, 1)
-    if t == 0 or s == 0:
-        return 0.0
-    time_part = h0 * (2.0 * h0 - 1.0) * fbm_time_kernel_integral(t, s, h0, -gamma0)
-    return scale * time_part
+    if h0 is not None:
+        HurstMultiIndex(h0)  # the fixed H0 in (1/2, 1)
+    fixed_h = tuple(scenario.fixed[a] for a in sorted(scenario.fixed))
+    d = scenario.k + len(scenario.b_axes) + len(fixed_h)
+    return _heat_covariance(h0, fixed_h, scenario.k, scenario.target(d), t, s)
 
 
 def heat_limit_functional(t: float, x, axes, grid: GridSpec, panels: int = 64) -> WienerFunctional:
@@ -210,10 +218,10 @@ def heat_limit_functional(t: float, x, axes, grid: GridSpec, panels: int = 64) -
     kept spatial axes fixes the window truncation.  The limit is the Wiener
     integral of Marginal(window, axes, panels) against a Hermite sheet on
     `grid`; draw it with .sample(HermiteSpec(q, kept Hurst values),
-    n_internal, stream).  As for the mild solution, a truncation that keeps
-    less than 0.99 of the kernel mass is refused.  Every axis sent to 1
-    (case 3) leaves no sheet: its limit is t H_q(Z)/sqrt(q!), whose CDF at
-    y is stats.target_cdf_hermite_limit(q)(y / t).
+    n_internal, stream).  As for the mild solution, a truncation that loses
+    more than integrals.MASS_TOL of the kernel mass raises TruncationError.
+    Every axis sent to 1 (case 3) leaves no sheet: its limit is
+    t H_q(Z)/sqrt(q!), whose CDF at y is stats.target_cdf_hermite_limit(q)(y / t).
     """
     x = tuple(float(v) for v in np.atleast_1d(x))
     axes = tuple(sorted(int(a) for a in axes))

@@ -17,13 +17,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, check_chaos_order, derive_stream
+from .core import DomainError, ResourceError, check_chaos_order, derive_stream
 from .fields import hermite_poly, release_noise_buffer
 
 # Replicates this short hold the interpreter lock, so threads only add contention.
 # On a 2-vCPU host a criterion-9 replicate takes 0.05 ms (0.3 to 0.4 ms as the
 # first call in a process), the FFT-bound criterion-3 and criterion-8 ones 0.6 to 1 ms.
 SERIAL_BELOW_S = 5e-4
+
+# Replicate threads one collect_samples call may run; a larger --threads is refused.
+THREAD_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,12 @@ class MCReport:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Replicate threads collect_samples runs: threads if nonzero, else one per CPU."""
-    return max(1, int(threads or os.cpu_count() or 1))
+    """Replicate threads collect_samples runs: threads if nonzero, else one per
+    CPU up to THREAD_CAP.  An explicit count above THREAD_CAP raises
+    ResourceError."""
+    if threads and threads > THREAD_CAP:
+        raise ResourceError(f"{threads} threads exceed the cap {THREAD_CAP}")
+    return max(1, min(THREAD_CAP, int(threads or os.cpu_count() or 1)))
 
 
 def collect_samples(
@@ -58,9 +65,9 @@ def collect_samples(
 
     A scalar sampler gives shape (n,); a sampler returning a fixed-shape
     array gives shape (n, *that shape).  Runs resolve_threads(threads)
-    threads.  With threads None, replicates 0 and 1 run on the calling thread
-    first, and the rest run there too if replicate 1 took less than
-    SERIAL_BELOW_S."""
+    threads, but never more than there are replicates left for them.  With
+    threads None, replicates 0 and 1 run on the calling thread first, and
+    the rest run there too if replicate 1 took less than SERIAL_BELOW_S."""
     if n < 1:
         raise DomainError("need at least one replicate")
     out = [None] * n
@@ -80,8 +87,8 @@ def collect_samples(
         run(1, start)
         if time.perf_counter() - t0 < SERIAL_BELOW_S:
             threads = 1
-    threads = resolve_threads(threads)
-    if threads == 1:
+    threads = min(resolve_threads(threads), n - start)
+    if threads <= 1:
         run(start, n)
     else:
         bounds = np.linspace(start, n, threads + 1).astype(int)

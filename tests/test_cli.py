@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from hermlab import acceptance, cli, integrals, spde
+from hermlab import acceptance, cli, fields, integrals, spde, stats
 from hermlab.cli import main
 from hermlab.stats import collect_samples
 
@@ -221,6 +221,34 @@ class TestRefusedBeforeAnyDraw:
         code, out, err = run(capsys, "powercount", "--spec", spec, "--gamma", "4/5", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestRefusedBeforeTheWeights:
+    """A sheet the sampler refuses is refused before the Wiener functional
+    builds its weights, and a sweep that draws nothing builds none."""
+
+    @pytest.fixture(autouse=True)
+    def no_weights(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("weights built for a functional the request never draws from")
+
+        monkeypatch.setattr(cli, "WienerFunctional", built)
+        monkeypatch.setattr(fields, "SHEET_CELL_CAP", 2 * 64 - 1)  # a 64-cell fine mesh is too big
+
+    @pytest.mark.parametrize("argv", [
+        ("integral", "--hurst", "0.7", "--reps", "2", "--panels", "8"),
+        ("sweep", "--target", "one", "--hurst-grid", "0.7", "--reps", "2", "--panels", "8"),
+    ], ids=["integral", "sweep"])
+    def test_oversize_sheet_is_exit_2(self, argv, capsys):
+        code, out, err = run(capsys, *argv, "--grid", "64", "--n-internal", "64")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "exceeds the sampler cap" in err
+
+    def test_quadrature_only_sweep_builds_no_functional(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--target", "half", "--hurst-grid", "0.7",
+                           "--reps", "0", "--grid", "64", "--n-internal", "64", "--panels", "8")
+        assert code == 0
+        assert load_json(out)["limit_variance"] > 0
 
 
 class TestHeat:
@@ -448,3 +476,20 @@ class TestContract:
                            "--hurst-grid", "0.75,0.55", "--reps", "0")
         assert code == 0
         assert load_json(out)["manifest"]["seed"] == 777
+
+    def test_malformed_env_seed_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("HERMLAB_SEED", "abc")
+        code, out, err = run(capsys, "ou", "--limit-cov", "stationary")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "HERMLAB_SEED" in err
+
+    def test_threads_above_the_cap_are_exit_2_before_any_thread(self, capsys, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("a replicate pool started for a refused thread count")
+
+        monkeypatch.setattr(stats, "ThreadPoolExecutor", started)
+        code, out, err = run(capsys, "integral", "--hurst", "0.7", "--reps", "4", "--grid", "16",
+                             "--n-internal", "64", "--panels", "8",
+                             "--threads", str(stats.THREAD_CAP + 1))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"the cap {stats.THREAD_CAP}" in err

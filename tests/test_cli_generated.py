@@ -21,7 +21,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hermlab import cli
+from hermlab import cli, stats
 
 SETTINGS = settings(
     derandomize=True, max_examples=60, deadline=None, database=None,
@@ -31,7 +31,7 @@ SETTINGS = settings(
 NON_FINITE = ["nan", "inf", "-inf"]
 MALFORMED = ["x", ""]
 COMMON = {"--seed": ["0", "1", "7"], "--threads": ["1", "2"]}
-REFUSED_COMMON = {"--seed": ["-1"] + MALFORMED, "--threads": MALFORMED}
+REFUSED_COMMON = {"--seed": ["-1"] + MALFORMED, "--threads": MALFORMED + [str(stats.THREAD_CAP + 1)]}
 
 
 def flags(served: dict, refused: dict) -> st.SearchStrategy:

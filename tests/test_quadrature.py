@@ -20,11 +20,9 @@ from hermlab.quadrature import (
     QuadratureConfig,
     abs_pow_cell_masses,
     contraction_norm_sq,
-    effective_exponents,
     fbm_time_kernel_integral,
     inner_product_HH,
     limit_constant,
-    limit_covariance_bifractional,
     q_alpha,
     sigma_limit,
 )
@@ -273,36 +271,12 @@ class TestConstants:
             with pytest.raises(DomainError):
                 q_alpha(bad)
 
-    def test_effective_exponents_case3(self):
-        sc = LimitScenario(a_axes=(0,))
-        ee = effective_exponents(1, sc)
-        assert ee.gamma == pytest.approx(0.5)
-        assert ee.gamma0 == pytest.approx(0.5)
-
-    def test_effective_exponents_fixed_axis(self):
-        sc = LimitScenario(a_axes=(0,), fixed={1: 0.7})
-        ee = effective_exponents(2, sc)
-        assert ee.gamma0 == pytest.approx(2 - 0.5 - 0.7)
-
     def test_limit_constant_values(self):
         assert limit_constant([], 1) == pytest.approx((2 * math.pi) ** -0.5, rel=1e-12)
         from scipy.special import gamma as G
         v = limit_constant([0.75], 1)  # a fixed axis keeps H(2H-1) q_(2H-1) 2^(1-H) Gamma(1-H)
         fixed = 0.75 * 0.5 * q_alpha(0.5) * 2**0.25 * G(0.25)
         assert v == pytest.approx((2 * math.pi) ** -0.5 * fixed, rel=1e-12)
-
-    def test_bifractional(self):
-        assert limit_covariance_bifractional(1, 1, 0.5, 1.0) == pytest.approx(math.sqrt(2))
-        assert limit_covariance_bifractional(0, 0, 0.5, 1.0) == 0.0
-        v1 = limit_covariance_bifractional(1, 1, 0.3, 2.0)
-        v2 = limit_covariance_bifractional(2, 2, 0.3, 2.0)
-        assert v2 > v1  # monotone on the diagonal
-        with pytest.raises(DomainError):
-            limit_covariance_bifractional(1, 1, 1.2, 1.0)
-
-    def test_case3_white_noise_value(self):
-        v = limit_covariance_bifractional(1, 1, 0.5, limit_constant([], 1))
-        assert v == pytest.approx(1 / math.sqrt(math.pi), rel=1e-12)
 
 
 class TestSigmaLimit:

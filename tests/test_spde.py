@@ -11,6 +11,7 @@ from hermlab.core import (
     HurstMultiIndex,
     LimitScenario,
     ResourceError,
+    TruncationError,
     UnsupportedError,
     derive_stream,
     green,
@@ -66,7 +67,38 @@ class TestExistence:
             HeatSpec(2, 0.66, (0.56,) * 3)
 
 
+# Values of the covariance code from before the quadrature and the H -> 1/2
+# limits shared one formula: the quadrature keeps its bits, and the limits
+# (whose gamma0 was summed in another order) agree to rounding.
+QUADRATURE_BITS = [
+    (0.7, (0.7,), 1.0, 1.0, "0x1.48b6cf57e561bp-1"),
+    (0.7, (0.7,), 1.0, 0.5, "0x1.457de6991ba62p-2"),
+    (0.6, (0.6, 0.9), 1.0, 1.0, "0x1.0c6e6942ec67fp-1"),
+    (0.6, (0.6, 0.9), 0.3, 2.0, "0x1.a7904c6054b72p-4"),
+    (0.9, (0.7, 0.9, 0.95), 2.0, 2.0, "0x1.4816d02cc10dfp+0"),
+    (0.9, (0.7, 0.9, 0.95), 1.0, 0.5, "0x1.1ab938346b8c6p-2"),
+]
+LIMIT_VALUES = [  # (A axes, B axes, fixed axes, h0, t, s, value)
+    ((0,), (), {}, None, 1.0, 1.0, 0.5641895835477564),
+    ((0,), (), {}, None, 1.0, 0.5, 0.20650772012904173),
+    ((0,), (), {1: 0.8}, None, 1.0, 1.0, 0.5773340053256808),
+    ((0,), (), {1: 0.8}, None, 1.0, 0.5, 0.1486986078493239),
+    ((0,), (1,), {2: 0.8}, None, 1.0, 1.0, 0.5773340053256808),
+    ((0,), (1,), {2: 0.8}, None, 1.0, 0.5, 0.1486986078493239),
+    ((0,), (), {}, 0.7, 1.0, 1.0, 0.4801262511176046),
+    ((0,), (), {}, 0.7, 1.0, 0.5, 0.22976108239991272),
+    ((1,), (), {0: 0.8}, 0.7, 1.0, 1.0, 0.39396261758729),
+    ((1,), (), {0: 0.8}, 0.7, 1.0, 0.5, 0.17554986674410641),
+    ((0,), (1,), {2: 0.8}, 0.7, 1.0, 1.0, 0.39396261758729),
+    ((0,), (1,), {2: 0.8}, 0.7, 1.0, 0.5, 0.17554986674410641),
+]
+
+
 class TestCovarianceQuadrature:
+    @pytest.mark.parametrize("h0,h,t,s,bits", QUADRATURE_BITS)
+    def test_recorded_bits(self, h0, h, t, s, bits):
+        assert heat_covariance_quadrature(HeatSpec(2, h0, h), t, s).hex() == bits
+
     def test_zero_time(self):
         spec = HeatSpec(2, 0.7, (0.7,))
         assert heat_covariance_quadrature(spec, 0.0, 1.0) == 0.0
@@ -156,7 +188,7 @@ class TestMildSolution:
 
     def test_truncation_guard(self):
         spec = HeatSpec(2, 0.7, (0.7,), trunc=0.5, t_steps=32, x_steps=32, n_internal=64)
-        with pytest.raises(DomainError):
+        with pytest.raises(TruncationError):
             sample_mild_solution(spec, 1.0, 0.0, derive_stream(SEED, 0))
 
     def test_oversize_sheet_refused_before_the_weights(self, monkeypatch):
@@ -175,20 +207,36 @@ class TestMildSolution:
 
 
 class TestLimits:
+    @pytest.mark.parametrize("a,b,fixed,h0,t,s,value", LIMIT_VALUES)
+    def test_recorded_values(self, a, b, fixed, h0, t, s, value):
+        sc = LimitScenario(a_axes=a, b_axes=b, fixed=fixed)
+        assert heat_limit_covariance(sc, h0, t, s) == pytest.approx(value, rel=2e-15, abs=0)
+
     def test_case3_value(self):
+        # white noise in d = 1: (2 pi)^(-1/2) ((t+s)^(1/2) - |t-s|^(1/2)), gamma0 = 1/2
         sc = LimitScenario(a_axes=(0,))
         v = heat_limit_covariance(sc, None, 1.0, 1.0)
         assert v == pytest.approx(1 / math.sqrt(math.pi), rel=1e-12)
+        assert heat_limit_covariance(sc, None, 2.0, 2.0) / v == pytest.approx(math.sqrt(2), rel=1e-12)
+        assert heat_limit_covariance(sc, None, 1.0, 0.5) == pytest.approx(
+            (1.5**0.5 - 0.5**0.5) / math.sqrt(2 * math.pi), rel=1e-12)
         assert heat_limit_covariance(sc, None, 0.0, 0.0) == 0.0
 
     def test_case1_bifractional_shape(self):
-        # K exponent of the (t+s)^K - |t-s|^K structure equals 1 - gamma0
-        sc = LimitScenario(a_axes=(0,), fixed={1: 0.8})
-        gamma0 = 2 - 0.5 - 0.8
-        K = 1 - gamma0
-        v1 = heat_limit_covariance(sc, None, 1.0, 1.0)
-        v2 = heat_limit_covariance(sc, None, 2.0, 2.0)
-        assert v2 / v1 == pytest.approx(2.0**K, rel=1e-9)
+        # K exponent of the (t+s)^K - |t-s|^K structure equals 1 - gamma0,
+        # gamma0 = d - k/2 - sum of the fixed H
+        for h_fixed in (0.7, 0.8):
+            sc = LimitScenario(a_axes=(0,), fixed={1: h_fixed})
+            K = 1 - (2 - 0.5 - h_fixed)
+            v1 = heat_limit_covariance(sc, None, 1.0, 1.0)
+            v2 = heat_limit_covariance(sc, None, 2.0, 2.0)
+            assert v2 > v1  # monotone on the diagonal
+            assert v2 / v1 == pytest.approx(2.0**K, rel=1e-9)
+
+    def test_exponent_outside_unit_interval_refused(self):
+        # k = d = 2 gives gamma0 = 1, so K = 1 - gamma0 = 0
+        with pytest.raises(DomainError, match="outside"):
+            heat_limit_covariance(LimitScenario(a_axes=(0, 1)), None, 1.0, 1.0)
 
     def test_case2_consistent_with_quadrature(self):
         # fixed H0, spatial axis to 1/2: the limit matches the pre-limit

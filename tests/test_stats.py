@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import time
+from concurrent.futures import Future
 
 import mpmath
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from numpy.polynomial.hermite_e import herme2poly
 from scipy.special import erf, ndtr
 
-from hermlab.core import DomainError, derive_stream
+from hermlab import stats
+from hermlab.core import DomainError, ResourceError, derive_stream
 from hermlab.stats import (
     collect_samples,
     excess_kurtosis,
@@ -183,9 +185,44 @@ class TestCollect:
         assert np.allclose(samples, expected)
 
     def test_thread_count_defaults_to_every_cpu(self):
-        assert resolve_threads(None) == resolve_threads(0) == (os.cpu_count() or 1)
+        cpus = min(os.cpu_count() or 1, stats.THREAD_CAP)
+        assert resolve_threads(None) == resolve_threads(0) == cpus
         assert resolve_threads(3) == 3
         assert resolve_threads(-2) == 1
+
+    def test_thread_count_is_capped(self, monkeypatch):
+        assert resolve_threads(stats.THREAD_CAP) == stats.THREAD_CAP
+        with pytest.raises(ResourceError):
+            resolve_threads(stats.THREAD_CAP + 1)
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: 10 * stats.THREAD_CAP)
+        assert resolve_threads(None) == stats.THREAD_CAP
+
+    def test_no_more_workers_than_replicates(self, monkeypatch):
+        pools = []
+
+        class InlinePool:  # runs each task at submit, so no thread starts
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        def sampler(s):
+            return float(s.standard_normal())
+
+        serial = collect_samples(sampler, 3, 11, threads=1)
+        monkeypatch.setattr(stats, "ThreadPoolExecutor", InlinePool)
+        assert np.array_equal(collect_samples(sampler, 3, 11, threads=8), serial)
+        assert collect_samples(sampler, 1, 11, threads=8)[0] == serial[0]
+        assert pools == [3]
 
     def test_short_replicates_stay_on_the_calling_thread(self):
         idents = set()
