@@ -26,6 +26,7 @@ from hermlab.quadrature import (
     q_alpha,
     sigma_limit,
 )
+from hermlab.spde import heat_limit_covariance
 from tabulated import Tabulated
 
 CFG = QuadratureConfig(panels=128)
@@ -271,12 +272,36 @@ class TestConstants:
             with pytest.raises(DomainError):
                 q_alpha(bad)
 
+    def test_effective_exponents_case3(self):
+        # gamma = gamma0 = d - sum of the limit H = 1/2 in d = 1; the heat
+        # limit covariance grows as (2t)^(1 - gamma0) on the diagonal
+        sc = LimitScenario(a_axes=(0,))
+        assert 1 - sum(sc.target(1)) == pytest.approx(0.5)
+        v1 = heat_limit_covariance(sc, None, 1.0, 1.0)
+        v2 = heat_limit_covariance(sc, None, 2.0, 2.0)
+        assert v2 / v1 == pytest.approx(2.0**0.5, rel=1e-12)
+
+    def test_effective_exponents_fixed_axis(self):
+        # gamma0 = d - k/2 - sum of the fixed H = 2 - 0.5 - 0.7
+        sc = LimitScenario(a_axes=(0,), fixed={1: 0.7})
+        gamma0 = 2 - 0.5 - 0.7
+        assert 2 - sum(sc.target(2)) == pytest.approx(gamma0)
+        v1 = heat_limit_covariance(sc, None, 1.0, 1.0)
+        v2 = heat_limit_covariance(sc, None, 2.0, 2.0)
+        assert v2 / v1 == pytest.approx(2.0 ** (1 - gamma0), rel=1e-12)
+
     def test_limit_constant_values(self):
         assert limit_constant([], 1) == pytest.approx((2 * math.pi) ** -0.5, rel=1e-12)
         from scipy.special import gamma as G
         v = limit_constant([0.75], 1)  # a fixed axis keeps H(2H-1) q_(2H-1) 2^(1-H) Gamma(1-H)
         fixed = 0.75 * 0.5 * q_alpha(0.5) * 2**0.25 * G(0.25)
         assert v == pytest.approx((2 * math.pi) ** -0.5 * fixed, rel=1e-12)
+
+    def test_case3_white_noise_value(self):
+        # limit_constant([], 1) * ((t+s)^(1/2) - |t-s|^(1/2)) at t = s = 1
+        assert limit_constant([], 1) * math.sqrt(2) == pytest.approx(1 / math.sqrt(math.pi), rel=1e-12)
+        v = heat_limit_covariance(LimitScenario(a_axes=(0,)), None, 1.0, 1.0)
+        assert v == pytest.approx(1 / math.sqrt(math.pi), rel=1e-12)
 
 
 class TestSigmaLimit:
