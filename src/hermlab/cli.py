@@ -196,7 +196,6 @@ def _cmd_sweep(args) -> dict:
     if args.reps:
         args._fine_mesh = fine_mesh(spec_grid.steps, args.n_internal)
         check_sheet_cells(args._fine_mesh)  # before the weights
-    if args.reps or args.target == "one":
         functional = WienerFunctional(f, spec_grid)
     quad_vals = [
         inner_product_HH(f, f, h, QuadratureConfig(panels=args.panels)) for h in hurst_grid
@@ -215,7 +214,7 @@ def _cmd_sweep(args) -> dict:
         )
     else:
         # H -> 1 limit variance is (int f)^2
-        f_int = float(np.sum(functional.weights) * spec_grid.mesh[0])
+        f_int = f.integral()
         result["limit_variance"] = f_int**2
     if args.reps:
         mc_vars, ks_vals = [], []

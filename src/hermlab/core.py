@@ -255,6 +255,10 @@ class IndicatorBox(Integrand):
         inside = np.all((pts >= self.lo) & (pts <= self.hi), axis=-1)
         return inside.astype(float)
 
+    def integral(self) -> float:
+        """The box volume, int f."""
+        return math.prod(h - l for l, h in zip(self.lo, self.hi))
+
 
 @dataclass(frozen=True)
 class ExpWindow(Integrand):
@@ -283,6 +287,10 @@ class ExpWindow(Integrand):
         u = pts[..., 0]
         inside = (u >= self.lo) & (u <= self.t)
         return np.where(inside, np.exp(-self.lam * (self.t - u)), 0.0)
+
+    def integral(self) -> float:
+        """int f = (1 - exp(-lam (t - lo))) / lam."""
+        return -math.expm1(-self.lam * (self.t - self.lo)) / self.lam
 
 
 def green(t, x, d: int = 1):

@@ -21,9 +21,14 @@ scale is the one cached quantity: the cache is keyed by the sampler's exact
 (H, q, N) and holds at most 8 entries (a drawing thread also keeps its
 noise buffer, as workspace).  The scale is set up in place: each
 axis's even circulant column is written into one complex buffer, which is
-transformed in place and dropped once its eigenvalues are read out.  Direct
-discretization of the chaos kernel is O(cells^q) and lives only in the
-ChaosKernel oracle.
+transformed in place and dropped once its eigenvalues are read out.  A draw
+works in the thread's noise buffer (8 B per circulant cell): for d >= 2 the
+last pass writes its real output into the half of axis 0 that the first
+pass drops, so the unit field is a view on that buffer and the H_q map
+(prod N floats, 2 B per circulant cell in 2-D) is the draw's one fresh
+array.  A 1-D draw, with no dropped half, also allocates its real output
+(8 B per cell).  Direct discretization of the chaos kernel is O(cells^q)
+and lives only in the ChaosKernel oracle.
 """
 from __future__ import annotations
 
@@ -175,7 +180,16 @@ def _stationary_unit_field(scale: np.ndarray, stream: np.random.Generator) -> np
     The inverse is irfftn taken one axis at a time, so the unused second
     half of each leading axis is dropped before the next pass; each leading
     pass writes its result into its input (out=x), so a draw holds one half
-    spectrum, not two.
+    spectrum, not two.  With more than one axis, the last pass writes its
+    real output (m0/2 * prod_a m_a/2 * m_last floats) into buf[m0 // 2:], the
+    half of axis 0 the first pass dropped, which holds
+    m0/2 * prod_a m_a * (m_last/2 + 1) * 2 floats, so it always fits.  The
+    returned field is then a view on the thread's noise buffer, valid until
+    that thread's next draw: _increments hands on the fresh H_q map, never
+    the field.  At N = (256, 256) that leaves a 2-D draw a traced peak of
+    0.5 B per circulant cell beyond its buffer, numpy's fixed 130 KB casting
+    buffer, against 4.0 B with a fresh output.  A 1-D draw has no dropped
+    half and allocates its output (8 B per cell).
 
     The noise is drawn into a buffer that each thread keeps for the shape of
     its last draw (8 B per circulant cell) until release_noise_buffer, which
@@ -195,7 +209,11 @@ def _stationary_unit_field(scale: np.ndarray, stream: np.random.Generator) -> np
     for a, m in enumerate(shape[:-1]):
         np.fft.ifft(x, axis=a, out=x)
         x = x[(slice(None),) * a + (slice(0, m // 2),)]
-    x = np.fft.irfft(x, n=shape[-1], axis=-1)
+    out = None
+    if len(shape) > 1:
+        out_shape = x.shape[:-1] + (shape[-1],)
+        out = buf[shape[0] // 2:].reshape(-1)[: math.prod(out_shape)].reshape(out_shape)
+    x = np.fft.irfft(x, n=shape[-1], axis=-1, out=out)
     return x[..., : shape[-1] // 2]
 
 
@@ -246,7 +264,9 @@ def _increments(Hs, q, grid, N, stream) -> np.ndarray:
     correlation rho_H(k)^(1/q) on the fine mesh of N[a] cells per axis,
     pushed through H_q, block-summed into grid cells and scaled in place by
     c = prod_a h_a^(H_a) / sqrt(q!), h_a the fine cell width: the grid-cell
-    increments."""
+    increments, a fresh array the caller owns (H_q returns a new array for
+    every q >= 1, while a multi-axis unit field is a view on the noise
+    buffer)."""
     check_sheet_cells(N)
     xi = _stationary_unit_field(_spectral_scale(Hs, q, N), stream)
     strides = [n // s for n, s in zip(N, grid.steps)]

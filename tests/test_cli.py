@@ -250,6 +250,39 @@ class TestRefusedBeforeTheWeights:
         assert code == 0
         assert load_json(out)["limit_variance"] > 0
 
+    @pytest.mark.parametrize("f,limit", [
+        ("exp_window", (1 - math.exp(-1.0)) ** 2), ("indicator", 1.0),
+    ], ids=["exp_window", "indicator"])
+    def test_quadrature_only_sweep_one_takes_int_f_from_the_integrand(self, f, limit, capsys):
+        # the H -> 1 limit (int f)^2 in closed form, not from a grid's weights
+        code, out, _ = run(capsys, "sweep", "--target", "one", "--f", f, "--hurst-grid", "0.7",
+                           "--reps", "0", "--grid", "64", "--n-internal", "64", "--panels", "8")
+        assert code == 0
+        assert load_json(out)["limit_variance"] == pytest.approx(limit, rel=1e-15)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM as Linux reports it")
+    def test_quadrature_only_sweep_rss_does_not_grow_with_the_grid(self):
+        """`sweep --target one --reps 0` at a 4e6-step grid: the peak RSS of
+        a fresh process stays under 64 MB, fixed before the first run.  When
+        it built the whole functional to sum its weights into int f it
+        peaked at 154.6 MB; without, 33.0 MB, as `--target half` does.  The
+        probe reads VmHWM, the high-water mark of its own address space:
+        ru_maxrss would also count the test process it was spawned from."""
+        probe = (
+            "import io, contextlib\n"
+            "import hermlab.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert hermlab.cli.main(['sweep', '--target', 'one', '--hurst-grid', '0.7',"
+            " '--reps', '0', '--grid', '4000000', '--panels', '8']) == 0\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(next(line for line in status if line.startswith('VmHWM:')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        _, kib, unit = proc.stdout.split()
+        assert unit == "kB" and int(kib) / 1024 < 64.0, proc.stdout
+
 
 class TestHeat:
     def test_quadrature_only(self, capsys):

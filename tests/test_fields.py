@@ -16,6 +16,7 @@ from hermlab.core import (
     DomainError,
     GridSpec,
     HermiteSpec,
+    IndicatorBox,
     ResourceError,
     derive_stream,
 )
@@ -27,6 +28,7 @@ from hermlab.fields import (
     simulate_fractional_gaussian_sheet,
     simulate_hermite_sheet,
 )
+from hermlab.integrals import WienerFunctional
 from hermlab.stats import collect_samples
 
 SEED = 1303
@@ -295,6 +297,32 @@ def scipy_unit_field(scale, stream):
     return x[..., : shape[-1] // 2]
 
 
+def faults_per_replicate(argv: str, pad: int) -> float:
+    """Minor page faults per replicate of `hermlab <argv>` run through
+    cli.main in a fresh process, counted after three warm replicates; the
+    environment carries `pad` extra bytes, which moves the heap layout."""
+    probe = (
+        "import io, contextlib, resource, sys\n"
+        "import hermlab.cli\n"
+        "from hermlab import stats\n"
+        "def counted(sampler, n, seed, threads=None):\n"
+        "    stats.collect_samples(sampler, 3, seed + 1, threads)\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    out = stats.collect_samples(sampler, n, seed, threads)\n"
+        "    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / n,"
+        " file=sys.stderr)\n"
+        "    return out\n"
+        "hermlab.cli.collect_samples = counted\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert hermlab.cli.main({argv.split()!r}) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               HERMLAB_TEST_PAD="x" * pad)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return float(proc.stderr.split()[-1])
+
+
 class TestCirculant:
     @pytest.mark.parametrize("N,hursts,q", [
         ((2**12,), (0.7,), 2), ((1000,), (0.9,), 3), ((3 * 7 * 11,), (0.6,), 1),
@@ -342,32 +370,69 @@ class TestCirculant:
         assert peak / (2 * n) < 26.0
 
     def test_draw_traced_peak_per_circulant_cell(self, monkeypatch):
-        """Traced peak of a 2-D draw at N = (256, 256), in bytes per
-        circulant cell (512^2 cells), once the thread holds its noise buffer.
-        Measured 4.0: the real output of the last pass (half its axis kept).
-        An out-of-place pass over the leading axis adds a half spectrum
-        (8 B), and a fresh noise array per draw another 8 B.  The bound is 6."""
-        N = (256, 256)
+        """Traced peak of a multi-axis draw, in bytes per circulant cell, once
+        the thread holds its noise buffer: a 2-D draw at N = (256, 256) (512^2
+        cells) and a 3-D draw at N = (64, 64, 64) (128^3 cells).  Measured
+        0.51 and 0.06: the last pass writes its real output into the half of
+        axis 0 that the first pass drops, so what remains is numpy's ~130 KB
+        casting buffer for the complex-by-real scale multiply, whatever the
+        size.  A fresh real output adds 4 B per cell in 2-D (2 B in 3-D), an
+        out-of-place leading pass a half spectrum, a fresh noise array 8 B.
+        Each bound is the measurement plus half the smallest array in play,
+        the unit field the draw hands on (prod N floats: 2 B per cell in 2-D,
+        1 B in 3-D), so any fresh full-length array crosses it."""
+        for N, bound in [((256, 256), 1.5), ((64, 64, 64), 0.6)]:
+            monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
+            scale = fields._spectral_scale((0.7, 0.6, 0.8)[: len(N)], 2, N)
+            fields._stationary_unit_field(scale, derive_stream(SEED, 0))
+            tracemalloc.start()
+            try:
+                fields._stationary_unit_field(scale, derive_stream(SEED, 1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / math.prod(2 * n for n in N) < bound, N
+        fields.release_noise_buffer()
+
+    @pytest.mark.parametrize("N", [(64,), (64, 60), (66, 65, 64)])
+    def test_draws_on_one_thread_do_not_share_memory(self, N, monkeypatch):
+        """The increments are the caller's own array: later draws on the
+        same thread, through hermite_sheet_increments and through
+        WienerFunctional.sample (which multiplies its increments in place),
+        leave them byte-unchanged, and they share no memory with a later
+        draw or with the noise buffer that holds a multi-axis unit field.
+        N is both the grid and the fine mesh, so no block sum copies the
+        q = 1 increments: H_1 itself must return a fresh array."""
         monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
-        scale = fields._spectral_scale((0.7, 0.6), 2, N)
-        fields._stationary_unit_field(scale, derive_stream(SEED, 0))
-        tracemalloc.start()
-        try:
-            fields._stationary_unit_field(scale, derive_stream(SEED, 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / math.prod(2 * n for n in N) < 6.0
+        d = len(N)
+        grid = GridSpec([0.0] * d, [1.0] * d, N)
+        hurst = (0.7, 0.6, 0.8)[:d]
+        gaussian, rosenblatt = HermiteSpec(1, hurst), HermiteSpec(2, hurst)
+        functional = WienerFunctional(IndicatorBox([0.0] * d, [0.5] * d), grid)
+        first = fields.hermite_sheet_increments(gaussian, grid, 64, derive_stream(SEED, 2))
+        kept = first.copy()
+        assert math.isfinite(functional.sample(rosenblatt, 64, derive_stream(SEED, 3)))
+        second = fields.hermite_sheet_increments(gaussian, grid, 64, derive_stream(SEED, 4))
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, fields._NOISE.buf)
+        fields.release_noise_buffer()
 
     @pytest.mark.parametrize("N", [(64,), (16, 12), (6, 5, 4)])
-    def test_draws_on_one_thread_do_not_share_memory(self, N, monkeypatch):
+    def test_unit_field_lives_in_the_noise_buffer_past_one_axis(self, N, monkeypatch):
+        """A 1-D unit field is a fresh array, since its noise buffer has no
+        dropped half; a multi-axis one is a view on the thread's noise
+        buffer, valid until that thread's next draw."""
         monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
         scale = fields._spectral_scale((0.7,) * len(N), 2, N)
         first = fields._stationary_unit_field(scale, derive_stream(SEED, 2))
-        kept = first.copy()
-        second = fields._stationary_unit_field(scale, derive_stream(SEED, 3))
-        assert first.tobytes() == kept.tobytes()
-        assert not np.shares_memory(first, second)
+        assert np.shares_memory(first, fields._NOISE.buf) == (len(N) > 1)
+        if len(N) == 1:
+            kept = first.copy()
+            second = fields._stationary_unit_field(scale, derive_stream(SEED, 3))
+            assert first.tobytes() == kept.tobytes()
+            assert not np.shares_memory(first, second)
+        fields.release_noise_buffer()
 
     def test_collect_samples_releases_the_noise_buffer(self, monkeypatch):
         monkeypatch.setattr(fields, "_SQRT_EIG_CACHE", {})
@@ -393,26 +458,16 @@ class TestCirculant:
         allocator returning the heap top to the system at every replicate.
         Whether it does so depends on the heap layout, so the probe runs
         under environments of three sizes; the bound is 20."""
-        probe = (
-            "import io, contextlib, resource, sys\n"
-            "import hermlab.cli\n"
-            "from hermlab import stats\n"
-            "def counted(sampler, n, seed, threads=None):\n"
-            "    stats.collect_samples(sampler, 3, seed + 1, threads)\n"
-            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "    out = stats.collect_samples(sampler, n, seed, threads)\n"
-            "    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / n,"
-            " file=sys.stderr)\n"
-            "    return out\n"
-            "hermlab.cli.collect_samples = counted\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert hermlab.cli.main('integral --hurst 0.7 --reps 100 --threads 1'.split()) == 0\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-                   HERMLAB_TEST_PAD="x" * pad)
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        assert float(proc.stderr.split()[-1]) < 20.0
+        assert faults_per_replicate("integral --hurst 0.7 --reps 100 --threads 1", pad) < 20.0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+    def test_multi_axis_replicates_fault_no_output_in(self):
+        """A d = 2 `heat` run on a 1024^2 circulant: 12.2 minor page faults
+        per replicate with the last pass's real output written into the
+        dropped half of the noise buffer, against 25.8 when every draw
+        allocated a fresh 4 MB output.  The bound is 20."""
+        argv = "heat --h0 0.55 --hurst 0.55 --trunc 4 --reps 40 --threads 1"
+        assert faults_per_replicate(argv, 1000) < 20.0
 
     def test_autocov_values(self):
         rho = fgn_autocov(0.5, 8)
