@@ -121,7 +121,7 @@ def crit_5_ou_one_limit(seed: int, fast: bool, threads: int | None = None):
     y99 = collect_samples(lambda s: simulate_hou(spec99, grid, s, 2**14).values[-1], n_var, seed,
                           threads)
     rel = y99.var() / target - 1.0
-    cdf = ou_limit_cdf_H1("nonstationary", 1.0, 1.0, 1.0, 0.0, 2)
+    cdf = ou_limit_cdf_H1(spec99, 1.0)
     ks = []
     for j, h in enumerate((0.9, 0.95, 0.99)):
         spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=h)

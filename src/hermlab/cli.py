@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> dict:
     check_chaos_order(args.q)
     d = len(hurst)
     grid = GridSpec([0.0] * d, [args.t_max] * d, [args.grid] * d)
-    gaussian = args.q == 1 and any(h <= 0.5 for h in hurst)
+    gaussian = args.q == 1  # H_1 is the identity: exact fBm at the grid itself
     spec = None if gaussian else HermiteSpec(args.q, HurstMultiIndex(hurst))
     if args.reps * math.prod(grid.shape) > SIMULATE_VALUE_CAP:
         raise ResourceError(f"{args.reps} replicates of {math.prod(grid.shape)} nodes exceed "
@@ -156,12 +156,22 @@ def _cmd_simulate(args) -> dict:
     }
 
 
+# largest lam * h for an exp window sampled on cells of width h: its midpoint
+# weights e^(-lam (T - u)) bias the sampler's variance by lam h / sinh(lam h) - 1
+# as H -> 1/2, -1.03% at 1/4, and by less at larger H
+EXP_CELL_CAP = 0.25
+
+
+def _check_exp_cells(f, grid: GridSpec) -> None:
+    if isinstance(f, ExpWindow) and f.lam * grid.mesh[0] > EXP_CELL_CAP:
+        raise DomainError(f"lambda * cell = {f.lam * grid.mesh[0]:.4g} exceeds {EXP_CELL_CAP}: the "
+                          "exp window's midpoint weights would bias the variance; raise --grid")
+
+
 def _make_integrand(args):
     if args.f == "exp_window":
         return ExpWindow(args.lam, args.t)
-    if args.f == "indicator":
-        return IndicatorBox([0.0], [args.t])
-    raise DomainError(f"unknown integrand {args.f!r}")
+    return IndicatorBox([0.0], [args.t])  # --f has no third choice
 
 
 def _cmd_integral(args) -> dict:
@@ -171,6 +181,7 @@ def _cmd_integral(args) -> dict:
     grid = GridSpec(0.0, args.t, args.grid)
     args._fine_mesh = fine_mesh(grid.steps, args.n_internal)
     check_sheet_cells(args._fine_mesh)  # before the weights
+    _check_exp_cells(f, grid)
     functional = WienerFunctional(f, grid)
     quad = inner_product_HH(f, f, hurst, QuadratureConfig(panels=args.panels))
     if not quad > 0:  # <f, f> > 0 for f != 0, so the integrand underflowed
@@ -196,6 +207,7 @@ def _cmd_sweep(args) -> dict:
     if args.reps:
         args._fine_mesh = fine_mesh(spec_grid.steps, args.n_internal)
         check_sheet_cells(args._fine_mesh)  # before the weights
+        _check_exp_cells(f, spec_grid)
         functional = WienerFunctional(f, spec_grid)
     quad_vals = [
         inner_product_HH(f, f, h, QuadratureConfig(panels=args.panels)) for h in hurst_grid
@@ -270,16 +282,17 @@ def _cmd_heat(args) -> dict:
 
 
 def _cmd_ou(args) -> dict:
+    s = args.t if args.s is None else args.s
+    if not args.limit_cov and s != args.t:  # the replicates sample Y(t) alone
+        raise DomainError("ou sampling needs --s equal to --t")
+    spec = OUSpec(lam=args.lam, sigma=args.sigma, q=args.q, H=float(args.hurst), xi=args.xi,
+                  stationary=args.stationary, M=args.horizon)
     if args.limit_cov:
-        value = ou_limit_covariance(args.limit_cov, args.t, args.s, args.lam, args.sigma)
-        return {"kind": args.limit_cov, "t": args.t, "s": args.s, "covariance": value}
-    spec = OUSpec(
-        lam=args.lam, sigma=args.sigma, q=args.q, H=float(args.hurst),
-        xi=args.xi, stationary=args.stationary,
-        M=args.horizon,
-    )
-    grid = GridSpec(0.0, args.t_max, args.grid)
+        return {"kind": "stationary" if spec.stationary else "nonstationary",
+                "t": args.t, "s": s, "covariance": ou_limit_covariance(spec, args.t, s)}
+    grid = GridSpec(0.0, args.t, args.grid)
     args._fine_mesh = fine_mesh(driving_grid(spec, grid).steps, args.n_internal)
+    _check_exp_cells(ExpWindow(spec.lam, args.t), grid)
 
     def sampler(stream):
         return float(simulate_hou(spec, grid, stream, args.n_internal).values[-1])
@@ -287,10 +300,7 @@ def _cmd_ou(args) -> dict:
     samples = collect_samples(sampler, args.reps, args.seed, threads=args.threads)
     rep = report_from_samples(samples, args.seed)
     out = rep.as_dict()
-    kind = "stationary" if args.stationary else "nonstationary"
-    out["limit_covariance_half"] = ou_limit_covariance(
-        kind, args.t_max, args.t_max, args.lam, args.sigma
-    )
+    out["limit_covariance_half"] = ou_limit_covariance(spec, args.t, args.t)
     return out
 
 
@@ -376,17 +386,17 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_heat)
 
     sp = sub.add_parser("ou", help="OU simulation and limit checks -> JSON")
-    sp.add_argument("--limit-cov", dest="limit_cov", choices=["nonstationary", "stationary"])
+    sp.add_argument("--limit-cov", dest="limit_cov", action="store_true",
+                    help="the H->1/2 limit covariance at --t, --s instead of sampling")
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
     sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--s", type=float, default=1.0)
+    sp.add_argument("--t", type=float, default=1.0, help="path horizon and evaluation time")
+    sp.add_argument("--s", type=float, default=None, help="second time of --limit-cov; default --t")
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--hurst", default="0.7")
     sp.add_argument("--xi", type=float, default=0.0)
     sp.add_argument("--stationary", action="store_true")
     sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=1.0)
     sp.add_argument("--grid", type=int, default=512)
     sp.add_argument("--reps", type=int, default=2000)
     sp.add_argument("--n-internal", dest="n_internal", type=int, default=2**13)

@@ -1,7 +1,8 @@
-"""Hermite Ornstein-Uhlenbeck processes: one simulator, simulate_hou, for
-both the nonstationary and the stationary solution of the Langevin equation
-driven by a Hermite process (the spec's `stationary` flag selects the
-window), and their limit laws as the Hurst index approaches 1 or 1/2."""
+"""Hermite Ornstein-Uhlenbeck processes, each described by one OUSpec: the
+simulator simulate_hou, for both the nonstationary and the stationary
+solution of the Langevin equation driven by a Hermite process (the spec's
+`stationary` flag selects the window), and the spec's limit laws as the
+Hurst index approaches 1/2 (ou_limit_covariance) or 1 (ou_limit_cdf_H1)."""
 from __future__ import annotations
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 from .core import (
     DomainError,
     check_chaos_order,
+    ExpWindow,
     GridSpec,
     HermiteSpec,
     HurstMultiIndex,
@@ -71,7 +73,7 @@ def simulate_hou(
     spec: OUSpec,
     grid: GridSpec,
     stream: np.random.Generator,
-    n_internal: int = 2**14,
+    n_internal: int,
 ) -> RandomField:
     """Hermite OU path on a one-parameter grid over [0, T].
 
@@ -112,42 +114,29 @@ def simulate_hou(
     return RandomField(grid, values)
 
 
-def ou_limit_covariance(kind: str, t: float, s: float, lam: float, sigma: float) -> float:
-    """H->1/2 limit covariances: the standard (nonstationary) and stationary
-    Ornstein-Uhlenbeck Gaussian processes."""
+def ou_limit_covariance(spec: OUSpec, t: float, s: float) -> float:
+    """H->1/2 limit covariance at times t, s >= 0: the standard Ornstein-
+    Uhlenbeck Gaussian process, sigma^2/(2 lam) (e^(-lam |t-s|) - e^(-lam (t+s))),
+    or when the spec is stationary sigma^2/(2 lam) e^(-lam |t-s|)."""
     if t < 0 or s < 0:
         raise DomainError("t and s must be >= 0")
-    if lam <= 0 or sigma <= 0:
-        raise DomainError("need lam > 0 and sigma > 0")
-    base = sigma**2 / (2.0 * lam)
-    if kind == "nonstationary":
-        return base * (math.exp(-lam * abs(t - s)) - math.exp(-lam * (t + s)))
-    if kind == "stationary":
-        return base * math.exp(-lam * abs(t - s))
-    raise DomainError(f"unknown OU kind {kind!r}")
+    lag = math.exp(-spec.lam * abs(t - s))
+    if not spec.stationary:
+        lag -= math.exp(-spec.lam * (t + s))
+    return spec.sigma**2 / (2.0 * spec.lam) * lag
 
 
-def ou_limit_cdf_H1(
-    kind: str,
-    t: float,
-    lam: float,
-    sigma: float,
-    xi: float,
-    q: int,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact CDF of the H->1 limit law: e^(-lam t) xi + sigma (1-e^(-lam t))
-    H_q(Z)/sqrt(q!) in the nonstationary case (t > 0), (sigma/lam)
-    H_q(Z)/sqrt(q!) (time-independent) in the stationary case."""
-    if lam <= 0 or sigma <= 0:
-        raise DomainError("need lam > 0 and sigma > 0")
-    if kind == "nonstationary":
-        if t <= 0:
-            raise DomainError("the nonstationary limit law needs t > 0")
-        shift = math.exp(-lam * t) * float(xi)
-        scale = sigma * (1.0 - math.exp(-lam * t))
-    elif kind == "stationary":
-        shift, scale = 0.0, sigma / lam
+def ou_limit_cdf_H1(spec: OUSpec, t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact CDF of the H->1 limit law at time t: e^(-lam t) xi + sigma (int f)
+    H_q(Z)/sqrt(q!) for the window f = ExpWindow(lam, t), int f = (1 - e^(-lam t))/lam
+    (t > 0); when the spec is stationary, (sigma/lam) H_q(Z)/sqrt(q!) at every t,
+    with int f over the infinite past."""
+    if spec.stationary:
+        shift, scale = 0.0, spec.sigma / spec.lam
+    elif t <= 0:
+        raise DomainError("the nonstationary limit law needs t > 0")
     else:
-        raise DomainError(f"unknown OU kind {kind!r}")
-    cdf = target_cdf_hermite_limit(q)
+        shift = math.exp(-spec.lam * t) * spec.xi
+        scale = spec.sigma * ExpWindow(spec.lam, t).integral()
+    cdf = target_cdf_hermite_limit(spec.q)
     return lambda x: cdf((np.asarray(x, dtype=float) - shift) / scale)

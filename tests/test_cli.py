@@ -11,7 +11,9 @@ import scipy
 
 from hermlab import acceptance, cli, fields, integrals, spde, stats
 from hermlab.cli import main
-from hermlab.stats import collect_samples
+from hermlab.core import GridSpec
+from hermlab.ou import OUSpec, ou_limit_covariance, simulate_hou
+from hermlab.stats import collect_samples, report_from_samples
 
 
 def run(capsys, *argv):
@@ -103,16 +105,75 @@ class TestSimulate:
         assert "exceeds the sampler cap" in err
         assert not out_csv.exists()
 
+    def test_q1_takes_the_exact_path_for_every_hurst(self, tmp_path, capsys):
+        # H_1 is the identity, so a q = 1 sheet is exact fBm on the grid itself at any H;
+        # a fine mesh at H > 1/2 would need a 2**30-cell circulant here
+        out_csv = tmp_path / "p.csv"
+        code, _, err = run(capsys, "simulate", "--q", "1", "--hurst", "0.7,0.8",
+                           "--out", str(out_csv))
+        assert code == 0, err
+        with open(str(out_csv) + ".manifest.json") as fh:
+            assert json.load(fh)["manifest"]["runtime"]["fine_mesh"] == [512, 512]
+
 
 class TestOU:
     def test_limit_cov_value(self, capsys):
         code, out, _ = run(
-            capsys, "ou", "--limit-cov", "nonstationary",
+            capsys, "ou", "--limit-cov",
             "--lambda", "1", "--sigma", "1", "--t", "1", "--s", "1",
         )
         assert code == 0
         payload = load_json(out)
         assert payload["covariance"] == pytest.approx((1 - math.exp(-2)) / 2, abs=1e-7)
+
+    @pytest.mark.parametrize("stationary", [False, True], ids=["nonstationary", "stationary"])
+    def test_limit_cov_s_defaults_to_t(self, capsys, stationary):
+        # Cov(2, 2): --s once defaulted to 1 whatever --t was
+        code, out, _ = run(capsys, "ou", "--limit-cov", "--t", "2", "--lambda", "3",
+                           *(["--stationary"] if stationary else []))
+        assert code == 0
+        payload = load_json(out)
+        spec = OUSpec(3.0, 1.0, q=2, H=0.7, stationary=stationary)
+        assert payload["s"] == 2.0
+        assert payload["covariance"] == ou_limit_covariance(spec, 2.0, 2.0)
+
+    def test_samples_y_at_t(self, capsys):
+        # --t is the path horizon as well as the evaluation time: Y(2) of paths on [0, 2]
+        code, out, _ = run(capsys, "ou", "--t", "2", "--reps", "4", "--grid", "64",
+                           "--n-internal", "1024", "--seed", "5", "--threads", "1")
+        assert code == 0
+        spec = OUSpec(1.0, 1.0, q=2, H=0.7)
+        ys = collect_samples(
+            lambda s: float(simulate_hou(spec, GridSpec(0.0, 2.0, 64), s, 1024).values[-1]),
+            4, 5, threads=1)
+        payload = load_json(out)
+        del payload["manifest"]
+        assert payload == {**report_from_samples(ys, 5).as_dict(),
+                           "limit_covariance_half": ou_limit_covariance(spec, 2.0, 2.0)}
+
+
+class TestExpCellBound:
+    """An exp window sampled on cells of width h is served up to lambda * h =
+    cli.EXP_CELL_CAP = 1/4 (lambda 4 on 16 cells of [0, 1]), where its midpoint
+    weights bias the variance by about 1%; TestRefusedBeforeAnyDraw refuses
+    lambda 4.1."""
+
+    SMALL = ("--grid", "16", "--n-internal", "64", "--threads", "1")
+
+    @pytest.mark.parametrize("argv", [
+        ("integral", "--hurst", "0.7", "--panels", "8", "--reps", "2", "--lambda", "3.9"),
+        ("sweep", "--target", "one", "--hurst-grid", "0.7", "--panels", "8", "--reps", "2",
+         "--lambda", "3.9"),
+        ("ou", "--reps", "2", "--lambda", "3.9"),
+        ("ou", "--stationary", "--reps", "2", "--lambda", "3.9"),
+        ("sweep", "--target", "one", "--hurst-grid", "0.7", "--panels", "8", "--reps", "0",
+         "--lambda", "50"),
+        ("integral", "--f", "indicator", "--hurst", "0.7", "--panels", "8", "--reps", "2",
+         "--lambda", "50"),
+    ], ids=["integral", "sweep", "ou", "ou_stationary", "sweep_reps_0", "integral_indicator"])
+    def test_served(self, argv, capsys):
+        code, _, err = run(capsys, *argv, *self.SMALL)
+        assert code == 0, err
 
 
 class TestSweep:
@@ -147,15 +208,15 @@ class TestUnservableRequests:
         HEAT + ("--t", "inf"),
         HEAT + ("--s", "nan"),
         HEAT + ("--trunc", "nan", "--reps", "2"),
-        ("ou", "--limit-cov", "stationary", "--t", "nan"),
-        ("ou", "--hurst", "0.7", "--t-max", "nan") + MC,
+        ("ou", "--limit-cov", "--stationary", "--t", "nan"),
+        ("ou", "--hurst", "0.7", "--t", "nan") + MC,
         ("integral", "--hurst", "0.7", "--t", "nan") + MC,
         ("integral", "--hurst", "0.7", "--lambda", "nan") + MC,
         ("simulate", "--q", "2", "--hurst", "0.7", "--grid", "8", "--t-max", "inf", "--out", "{tmp}/x.csv"),
         ("integral", "--hurst", "0.7", "--panels", "64", "--out", "{tmp}/missing/x.json") + MC,
         ("sweep", "--target", "half", "--hurst-grid", "0.7", "--out", "{tmp}/missing/x.json"),
     ], ids=["heat_t_nan", "heat_t_inf", "heat_s_nan", "heat_trunc_nan", "ou_limit_t_nan",
-            "ou_t_max_nan", "integral_t_nan", "integral_lambda_nan", "simulate_t_max_inf",
+            "ou_t_nan", "integral_t_nan", "integral_lambda_nan", "simulate_t_max_inf",
             "integral_missing_out_dir", "sweep_missing_out_dir"])
     def test_exit_2_with_empty_stdout(self, argv, tmp_path, capsys):
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
@@ -176,6 +237,7 @@ class TestRefusedBeforeAnyDraw:
 
     HEAT = ("heat", "--h0", "0.6", "--hurst", "0.8", "--t-steps", "16", "--x-steps", "16",
             "--n-internal", "64", "--reps", "2")
+    EXP_CELLS = ("--lambda", "4.1", "--grid", "16", "--n-internal", "64", "--reps", "2")
 
     @pytest.fixture(autouse=True)
     def no_draws(self, monkeypatch):
@@ -198,8 +260,15 @@ class TestRefusedBeforeAnyDraw:
          "quadrature panels exceed the cap"),
         (("simulate", "--q", "1", "--hurst", "0.3,0.3", "--grid", "2048", "--reps", "40",
           "--out", "{tmp}/x.csv"), "exceed the simulate cap"),
+        (("ou", "--t", "2", "--s", "1", "--reps", "2"), "--s equal to --t"),
+        (("integral", "--hurst", "0.7") + EXP_CELLS, "lambda * cell = 0.2562 exceeds 0.25"),
+        (("sweep", "--target", "one", "--hurst-grid", "0.7") + EXP_CELLS,
+         "lambda * cell = 0.2562 exceeds 0.25"),
+        (("ou",) + EXP_CELLS, "lambda * cell = 0.2562 exceeds 0.25"),
+        (("ou", "--stationary") + EXP_CELLS, "lambda * cell = 0.2562 exceeds 0.25"),
     ], ids=["integral_missing_out_dir", "simulate_missing_out_dir", "heat_t_0", "heat_s_0",
-            "heat_s_ne_t", "integral_panels", "sweep_panels", "simulate_values"])
+            "heat_s_ne_t", "integral_panels", "sweep_panels", "simulate_values", "ou_s_ne_t",
+            "integral_exp_cells", "sweep_exp_cells", "ou_exp_cells", "ou_stationary_exp_cells"])
     def test_exit_2(self, argv, message, tmp_path, capsys):
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 2 and out == ""
@@ -343,7 +412,7 @@ class TestContract:
         assert code == 1
 
     def test_flag_validation_exit_2(self, capsys):
-        code, _, err = run(capsys, "ou", "--lambda", "-1", "--limit-cov", "stationary")
+        code, _, err = run(capsys, "ou", "--lambda", "-1", "--limit-cov", "--stationary")
         assert code == 2
 
     def test_byte_identical_payloads(self, capsys):
@@ -512,7 +581,7 @@ class TestContract:
 
     def test_malformed_env_seed_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("HERMLAB_SEED", "abc")
-        code, out, err = run(capsys, "ou", "--limit-cov", "stationary")
+        code, out, err = run(capsys, "ou", "--limit-cov", "--stationary")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "HERMLAB_SEED" in err
 

@@ -177,7 +177,6 @@ def test_heat(argv):
 
 @SETTINGS
 @given(flags({
-    "--limit-cov": ["nonstationary", "stationary"],
     "--lambda": ["0.5", "1", "3"],
     "--sigma": ["0.5", "1"],
     "--t": ["0.5", "1", "2"],
@@ -186,7 +185,6 @@ def test_heat(argv):
     "--hurst": ["0.55", "0.7", "0.9"],
     "--xi": ["0", "1"],
     "--horizon": ["10", "20"],
-    "--t-max": ["0.5", "1", "2"],
     "--grid": ["8", "64"],
     "--reps": ["2", "8"],
     "--n-internal": ["64", "1024"],
@@ -194,20 +192,20 @@ def test_heat(argv):
     "--limit-cov": MALFORMED,
     "--lambda": NON_FINITE + ["0", "-1"],
     "--sigma": NON_FINITE + ["0"],
-    "--t": NON_FINITE + ["0", "-1", "1e300"],
+    "--t": NON_FINITE + ["0", "-1", "1e-300", "1e300"],
     "--s": NON_FINITE + ["-1"],
     "--q": ["0", "171"],
     "--hurst": NON_FINITE + MALFORMED + ["0.5", "1"],
     "--xi": NON_FINITE,
     "--horizon": ["1", "1e12"] + NON_FINITE,
-    "--t-max": NON_FINITE + ["0", "-1", "1e-300"],
     "--grid": ["0"],
     "--reps": ["0", "1"],
     "--n-internal": ["63"],
-}), st.booleans())
-def test_ou(argv, stationary):
+}), st.booleans(), st.booleans())
+def test_ou(argv, limit_cov, stationary):
     check_contract(("ou", "--grid", "16", "--reps", "2", "--n-internal", "64")
-                   + argv + (("--stationary",) if stationary else ()))
+                   + argv + (("--limit-cov",) if limit_cov else ())
+                   + (("--stationary",) if stationary else ()))
 
 
 @SETTINGS

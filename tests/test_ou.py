@@ -184,48 +184,54 @@ class TestLongHorizon:
 
 class TestLimits:
     def test_limit_covariance_values(self):
-        assert ou_limit_covariance("nonstationary", 1, 1, 1, 1) == pytest.approx(
-            (1 - math.exp(-2)) / 2
-        )
-        assert ou_limit_covariance("stationary", 1, 1, 1, 1) == pytest.approx(0.5)
-        assert ou_limit_covariance("nonstationary", 0, 1, 1, 1) == pytest.approx(0.0)
-        assert ou_limit_covariance("stationary", 2, 7, 1, 1) == pytest.approx(
-            0.5 * math.exp(-5)
-        )
+        nonstationary = OUSpec(1.0, 1.0, q=2, H=0.7)
+        stationary = OUSpec(1.0, 1.0, q=2, H=0.7, stationary=True)
+        assert ou_limit_covariance(nonstationary, 1, 1) == pytest.approx((1 - math.exp(-2)) / 2)
+        assert ou_limit_covariance(stationary, 1, 1) == pytest.approx(0.5)
+        assert ou_limit_covariance(nonstationary, 0, 1) == pytest.approx(0.0)
+        assert ou_limit_covariance(stationary, 2, 7) == pytest.approx(0.5 * math.exp(-5))
 
     def test_limit_cdf_is_shift_plus_scaled_hermite_law(self):
         x = np.linspace(-3.0, 4.0, 71)
         hq = target_cdf_hermite_limit(3)
         shift, scale = 0.5 * math.exp(-2.0), 2.0 * (1.0 - math.exp(-2.0))
-        got = ou_limit_cdf_H1("nonstationary", 2.0, 1.0, 2.0, 0.5, 3)(x)
+        got = ou_limit_cdf_H1(OUSpec(1.0, 2.0, q=3, H=0.7, xi=0.5), 2.0)(x)
         assert np.array_equal(got, hq((x - shift) / scale))
-        assert np.array_equal(ou_limit_cdf_H1("stationary", 5.0, 4.0, 2.0, 0.0, 3)(x), hq(2.0 * x))
+        stationary = OUSpec(4.0, 2.0, q=3, H=0.7, stationary=True)
+        assert np.array_equal(ou_limit_cdf_H1(stationary, 5.0)(x), hq(2.0 * x))
+
+    def test_limit_cdf_scale_is_sigma_times_the_window_integral(self):
+        # lam = 3: sigma int_0^1 e^(-3 (1 - u)) du = (1 - e^-3)/3, not 1 - e^-3
+        x = np.linspace(-1.0, 2.0, 61)
+        scale = -math.expm1(-3.0) / 3.0
+        got = ou_limit_cdf_H1(OUSpec(3.0, 1.0, q=2, H=0.99), 1.0)(x)
+        assert np.array_equal(got, target_cdf_hermite_limit(2)(x / scale))
+        # the limit variance (sigma int f)^2 against <f, f>_H near H = 1
+        f = ExpWindow(3.0, 1.0)
+        quad = inner_product_HH(f, f, 0.999, QuadratureConfig(panels=1024))
+        assert abs(scale**2 / quad - 1.0) < 2e-3
 
     def test_limit_cdf_q1_gaussian(self):
         from scipy.special import ndtr
 
         x = np.linspace(-3.0, 3.0, 61)
-        got = ou_limit_cdf_H1("stationary", 0.0, 2.0, 1.0, 0.0, 1)(x)
+        got = ou_limit_cdf_H1(OUSpec(2.0, 1.0, q=1, H=0.7, stationary=True), 0.0)(x)
         assert np.max(np.abs(got - ndtr(2.0 * x))) <= 1e-15
 
     def test_limit_cdf_refusals(self):
         with pytest.raises(DomainError):
-            ou_limit_cdf_H1("nonstationary", 0.0, 1.0, 1.0, 0.0, 2)
-        with pytest.raises(DomainError):
-            ou_limit_cdf_H1("bogus", 1.0, 1.0, 1.0, 0.0, 2)
-        with pytest.raises(DomainError):
-            ou_limit_cdf_H1("stationary", 1.0, 1.0, 1.0, 0.0, 0)
+            ou_limit_cdf_H1(OUSpec(1.0, 1.0, q=2, H=0.7), 0.0)
 
     def test_quadrature_trend_to_half_limit(self):
         f = ExpWindow(1.0, 1.0)
         cfg = QuadratureConfig(panels=1024)
-        target = ou_limit_covariance("nonstationary", 1, 1, 1, 1)
+        target = ou_limit_covariance(OUSpec(1.0, 1.0, q=2, H=0.7), 1, 1)
         vals = [inner_product_HH(f, f, h, cfg) for h in (0.75, 0.65, 0.55, 0.51)]
         assert abs(vals[-1] - target) / target < 0.02
 
     def test_H_to_one_ks_trend(self):
         g = GridSpec(0, 1, 512)
-        cdf = ou_limit_cdf_H1("nonstationary", 1.0, 1.0, 1.0, 0.0, 2)
+        cdf = ou_limit_cdf_H1(OUSpec(1.0, 1.0, q=2, H=0.99), 1.0)
         ks = []
         for j, h in enumerate((0.9, 0.99)):
             spec = OUSpec(lam=1.0, sigma=1.0, q=2, H=h)
